@@ -33,7 +33,7 @@ fn bench_routing_only(c: &mut Criterion) {
                 let protos = (0..topo.node_count())
                     .map(|_| RoutingOnlyNode::new(RouterConfig::default()))
                     .collect();
-                let mut e = Engine::new(topo, &models, cfg.mac, cfg.hub(), protos);
+                let mut e = Engine::new(topo, &models, cfg.mac, cfg.hub(), protos, 1);
                 e.start();
                 e.run_for(SimDuration::from_secs(60));
                 black_box(e.trace().broadcast_tx)

@@ -13,10 +13,10 @@
 //! and runner knobs. Everything a downstream user needs to evaluate their
 //! own deployment shape without writing Rust.
 //!
-//! `--shards N` overrides the spec's engine selection: `N > 0` drives the
-//! run with the sharded multi-core engine (`N` spatial shards, results
-//! identical for any `N` at the same seed), `0` forces the single-loop
-//! engine. Large topologies (10k+ nodes) should shard.
+//! `--shards N` overrides the spec's shard count: the engine splits the
+//! network into `N` spatial shards advanced by parallel worker threads
+//! (`0` and `1` both mean one shard). Results are identical for any `N`
+//! at the same seed. Large topologies (10k+ nodes) should shard.
 //!
 //! `--estimator in-band|minc|sparse-l1` selects which inference backend's
 //! snapshot fills the `links` table and `estimator_mae` (default
@@ -32,8 +32,8 @@
 //!   <https://ui.perfetto.dev>); `--trace-sample N` keeps 1-in-N trace
 //!   ids (chrome format only, whole lifecycles);
 //! * `--profile <path>` — enable hot-path self-profiling and write the
-//!   per-subsystem wall-time report as JSON (works on both engines; with
-//!   `--shards N` wall time aggregates across worker threads);
+//!   per-subsystem wall-time report as JSON (with `--shards N` wall time
+//!   aggregates across worker threads);
 //! * `--flight-recorder <path>` — keep a fixed-size ring of the last
 //!   observer events and dump them to `<path>` as postmortem JSONL if the
 //!   run panics (nothing is written on success);
@@ -48,7 +48,7 @@
 
 use dophy::diagnosis::{DiagnosisConfig, NetworkHealthReport};
 use dophy::infer::EstimatorKind;
-use dophy::protocol::{build_sharded_simulation, build_simulation};
+use dophy::protocol::build_sharded_simulation;
 use dophy_bench::{execute_cell, resolve_jobs, telemetry, FaultSummary, Instruments, RunSpec};
 use dophy_sim::obs::{FlightRecorder, JsonlTracer, FLIGHT_RECORDER_DEFAULT_CAPACITY};
 use dophy_sim::ChromeTracer;
@@ -393,22 +393,11 @@ fn run(cli: Cli) -> Result<(), String> {
 
     if cli.text {
         // Also produce the operator-facing health report from a dedicated
-        // run of the same scenario (run_scenario consumes its engine),
-        // on whichever engine the spec selects.
-        let shared = match spec.shards.unwrap_or(0) {
-            0 => {
-                let (mut engine, shared) = build_simulation(&spec.sim, &spec.dophy);
-                engine.start();
-                engine.run_for(spec.duration);
-                shared
-            }
-            shards => {
-                let (mut engine, shared) = build_sharded_simulation(&spec.sim, &spec.dophy, shards);
-                engine.start();
-                engine.run_for(spec.duration);
-                shared
-            }
-        };
+        // run of the same scenario (run_scenario consumes its engine).
+        let (mut engine, shared) =
+            build_sharded_simulation(&spec.sim, &spec.dophy, spec.shards.unwrap_or(1));
+        engine.start();
+        engine.run_for(spec.duration);
         let health = NetworkHealthReport::generate(
             &shared.lock(),
             SimTime::ZERO + spec.duration,

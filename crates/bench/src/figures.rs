@@ -1259,7 +1259,7 @@ pub fn tab4_energy(quick: bool) -> Plan {
 
         let energy = EnergyModel::default();
         let mean_frame = 31.0 + dophy::header::DophyHeader::FIXED_WIRE_BYTES as f64; // MAC 11 + payload 20 + header
-        let base = energy.report(engine.trace(), mean_frame, 11.0);
+        let base = energy.report(&engine.trace(), mean_frame, 11.0);
         let per_byte_hop = energy.per_hop_byte_joules();
 
         let s = shared.lock();
@@ -1538,13 +1538,14 @@ pub fn fig13_faults(quick: bool) -> Plan {
 /// process-wide high-water mark, so the cells are declared smallest-first
 /// and the figure is only a true per-cell peak at `--jobs 1`.
 ///
-/// Beyond 1000 nodes the sweep switches to the sharded multi-core engine
-/// (`*-sharded` series, shard count scaling with n): the single event
-/// loop is the scaling bottleneck the sharded engine exists to remove.
-/// The n=1000 point appears in both series — same workload on both
-/// engines — so the per-core engine overhead/speedup is read directly off
-/// the figure, and the accuracy series answer the real question at 10k
-/// nodes: does the stack still deliver and estimate. (At 10k nodes the
+/// Beyond 1000 nodes the sweep splits the network into spatial shards
+/// (`*-sharded` series, shard count scaling with n), which worker threads
+/// advance in parallel: one event loop is the scaling bottleneck shards
+/// exist to remove. The n=1000 point appears in both series — same
+/// workload on one shard and on eight, with identical deterministic
+/// series — so the sharding overhead/speedup is read directly off the
+/// wall-clock series, and the accuracy series answer the real question
+/// at 10k nodes: does the stack still deliver and estimate. (At 10k nodes the
 /// routing tree alone takes a few hundred simulated seconds to span the
 /// ~30-hop network, so quick-mode delivery is dominated by tree
 /// formation; the full run is the meaningful accuracy sample.)
@@ -1637,7 +1638,7 @@ pub fn fig14_scale(quick: bool) -> Plan {
         let small = &single[0].telemetry;
         let big = single.last().unwrap().telemetry;
         fig.note(format!(
-            "single loop, 1000 nodes: {} events in {:.2} s wall ({:.0} ev/s, sim/wall \
+            "one shard, 1000 nodes: {} events in {:.2} s wall ({:.0} ev/s, sim/wall \
              {:.0}x); 200 nodes: {:.2} s — wall time should scale ~linearly with n at \
              constant density",
             big.events_processed,
@@ -1648,9 +1649,9 @@ pub fn fig14_scale(quick: bool) -> Plan {
         ));
         let sharded_big = shard_outs.last().unwrap();
         fig.note(format!(
-            "sharded engine, {} nodes: {} events in {:.2} s wall ({:.0} ev/s), \
+            "sharded, {} nodes: {} events in {:.2} s wall ({:.0} ev/s), \
              delivery ratio {:.3}. The shared n=1000 point gives the \
-             engine-vs-engine throughput ratio on this machine",
+             sharded-vs-one-shard throughput ratio on this machine",
             sharded_sizes.last().unwrap(),
             sharded_big.telemetry.events_processed,
             sharded_big.telemetry.wall_seconds,

@@ -16,15 +16,14 @@ use dophy::baseline::{
 use dophy::infer::{Estimator, Evidence, EvidenceLog, SnapshotQuery};
 use dophy::metrics::{score, AccuracyReport};
 use dophy::protocol::{
-    build_sharded_simulation_with_faults, build_simulation_with_faults, DecodeStats, DophyConfig,
-    DophyNode, OverheadStats, SinkState,
+    build_sharded_simulation_with_faults, DecodeStats, DophyConfig, DophyNode, OverheadStats,
 };
 use dophy::telemetry::sample_metrics;
 use dophy_routing::{churn_report, ChurnReport};
 use dophy_sim::obs::{FlightRecorder, MetricsRegistry, MetricsSnapshot, MultiObserver, Observer};
 use dophy_sim::{
-    FaultConfig, FaultInjection, FaultPlan, NodeId, ProfileReport, Profiler, SimConfig, SimDriver,
-    SimDuration, SimTime, Topology, Trace,
+    Engine, FaultConfig, FaultInjection, NodeId, ProfileReport, Profiler, SimConfig, SimDuration,
+    SimTime, Topology, Trace,
 };
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -65,13 +64,12 @@ pub struct RunSpec {
     /// specs predating this field (a missing `faults` key in JSON
     /// deserializes to `None`, so old scenario files keep working).
     pub faults: Option<FaultConfig>,
-    /// Engine selection: `None` or `Some(0)` (a missing key in legacy
-    /// JSON deserializes to `None`) runs the single-loop engine,
-    /// bit-identical to specs predating this field. `Some(n)` for `n > 0`
-    /// runs the sharded multi-core engine with `n` spatial shards.
-    /// Sharded results are byte-identical across shard *and* thread
-    /// counts, but are a different (equally valid) sample path than the
-    /// single-loop engine's — so the value participates in the spec hash.
+    /// Spatial shards the engine runs on. `None`, `Some(0)` and `Some(1)`
+    /// (and a missing key in legacy JSON) all mean one shard. Results are
+    /// byte-identical at every shard count; only wall-clock time differs.
+    /// The value still participates in the spec hash because fig14's
+    /// wall-clock series depend on it, so two shard counts never share a
+    /// cached run.
     pub shards: Option<u16>,
     /// Whether to keep the per-packet ground-truth hop log
     /// ([`RunOutput::true_hops`]). `None` (and a missing key in legacy
@@ -99,7 +97,7 @@ impl RunSpec {
         }
     }
 
-    /// The same spec on the sharded engine with `shards` spatial shards.
+    /// The same spec on `shards` spatial shards.
     pub fn with_shards(self, shards: u16) -> Self {
         Self {
             shards: Some(shards),
@@ -242,7 +240,7 @@ impl RunOutput {
 
 /// Follows parents from `origin` to the sink; `None` on loops or missing
 /// routes. Returns the link list origin→sink.
-fn current_path<E: SimDriver<DophyNode>>(engine: &E, origin: NodeId) -> Option<Vec<LinkKey>> {
+fn current_path(engine: &Engine<DophyNode>, origin: NodeId) -> Option<Vec<LinkKey>> {
     let n = engine.topology().node_count();
     let mut cur = origin;
     let mut path = Vec::new();
@@ -304,47 +302,22 @@ pub fn run_scenario(spec: &RunSpec) -> RunOutput {
 
 /// Runs a scenario to completion with optional observability attached.
 ///
-/// With [`RunSpec::shards`] non-zero the run is driven by the sharded
-/// multi-core engine; everything downstream (baseline attribution,
-/// checkpoints, metrics, outputs) is engine-agnostic. Profiling works on
-/// both engines: on the sharded one each worker thread records into a
+/// The engine runs on [`RunSpec::shards`] spatial shards. Profiling
+/// works at any shard count: each worker thread records into a
 /// shard-local profiler and the report aggregates wall time across
-/// threads (so subsystem totals can exceed the run's wall clock — they
-/// are CPU-time-like, not elapsed-time-like).
+/// threads (so with several threads, subsystem totals can exceed the
+/// run's wall clock — they are CPU-time-like, not elapsed-time-like).
 pub fn run_scenario_with(spec: &RunSpec, inst: Instruments) -> RunOutput {
-    let shards = spec.shards.unwrap_or(0);
+    let (mut engine, shared, fault_plan) = build_sharded_simulation_with_faults(
+        &spec.sim,
+        &spec.dophy,
+        spec.faults.as_ref(),
+        spec.shards.unwrap_or(1),
+    );
     let profiler = inst.profile.then(|| Arc::new(Profiler::new()));
-    if shards == 0 {
-        let (mut engine, shared, fault_plan) =
-            build_simulation_with_faults(&spec.sim, &spec.dophy, spec.faults.as_ref());
-        if let Some(prof) = &profiler {
-            engine.set_profiler(Arc::clone(prof));
-        }
-        drive(spec, inst, engine, shared, fault_plan, profiler)
-    } else {
-        let (mut engine, shared, fault_plan) = build_sharded_simulation_with_faults(
-            &spec.sim,
-            &spec.dophy,
-            spec.faults.as_ref(),
-            shards,
-        );
-        if let Some(prof) = &profiler {
-            engine.set_profiler(Arc::clone(prof));
-        }
-        drive(spec, inst, engine, shared, fault_plan, profiler)
+    if let Some(prof) = &profiler {
+        engine.set_profiler(Arc::clone(prof));
     }
-}
-
-/// Engine-agnostic body of [`run_scenario_with`]: drives `engine` through
-/// the spec's windows and extracts every output.
-fn drive<E: SimDriver<DophyNode>>(
-    spec: &RunSpec,
-    inst: Instruments,
-    mut engine: E,
-    shared: Arc<Mutex<SinkState>>,
-    fault_plan: Option<Arc<FaultPlan>>,
-    profiler: Option<Arc<Profiler>>,
-) -> RunOutput {
     // Flight recorder first in the chain: it must capture each event
     // before any other observer gets a chance to panic on it.
     let observer = match (inst.flight_recorder, inst.observer) {
@@ -460,11 +433,7 @@ fn drive<E: SimDriver<DophyNode>>(
         }
 
         if spec.checkpoints {
-            let truth = truth_map(
-                engine.topology(),
-                &engine.trace_snapshot(),
-                spec.min_truth_tx,
-            );
+            let truth = truth_map(engine.topology(), &engine.trace(), spec.min_truth_tx);
             let s = shared.lock();
             let dophy_est = estimates_to_loss(s.infer.in_band.estimates(r, spec.min_est_samples));
             let naive_est =
@@ -502,11 +471,7 @@ fn drive<E: SimDriver<DophyNode>>(
         telemetry,
     );
 
-    let truth = truth_map(
-        engine.topology(),
-        &engine.trace_snapshot(),
-        spec.min_truth_tx,
-    );
+    let truth = truth_map(engine.topology(), &engine.trace(), spec.min_truth_tx);
     let duration_t = SimTime::ZERO + spec.duration;
     let churn = {
         let logs: Vec<&[(SimTime, NodeId)]> = (1..n)
@@ -829,8 +794,8 @@ mod tests {
         let back: RunSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(back.shards, Some(8));
         assert_eq!(back, spec);
-        // Pre-sharding JSON (no `shards` key) still deserializes to the
-        // single-loop engine.
+        // Pre-sharding JSON (no `shards` key) still deserializes, to one
+        // shard.
         let legacy = serde_json::to_string(&quick_spec()).unwrap();
         let stripped = legacy.replace(",\"shards\":null", "");
         assert!(!stripped.contains("shards"));

@@ -102,11 +102,10 @@ fn figure_json_is_byte_identical_across_shard_counts() {
 
 #[test]
 fn engine_choice_is_part_of_the_cache_identity() {
-    // Sharded and single-loop runs are different sample paths, so the
-    // content-addressed run cache must never alias them. Results *are*
-    // shard-count invariant, but the cache is keyed on the literal spec
-    // hash, so distinct shard counts cache separately (conservative) and
-    // only the exact same spec hits.
+    // Results are shard-count invariant, but fig14's wall-clock series
+    // are not, so the content-addressed run cache is keyed on the literal
+    // spec hash: distinct shard counts cache separately and only the
+    // exact same spec hits.
     let single = spec(7);
     let sharded = spec(7).with_shards(4);
     assert_ne!(cache_key(&single), cache_key(&sharded));

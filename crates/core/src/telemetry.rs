@@ -1,17 +1,16 @@
 //! Metrics sampling for Dophy simulations.
 //!
-//! [`sample_metrics`] reads the cumulative state of a running engine
-//! (single-loop or sharded, via [`SimDriver`]) plus the shared
-//! [`SinkState`] and writes it into a [`MetricsRegistry`]. Harnesses call
-//! it on a sim-time cadence and then [`MetricsRegistry::snapshot`] to
-//! grow the exported time series.
+//! [`sample_metrics`] reads the cumulative state of a running engine plus
+//! the shared [`SinkState`] and writes it into a [`MetricsRegistry`].
+//! Harnesses call it on a sim-time cadence and then
+//! [`MetricsRegistry::snapshot`] to grow the exported time series.
 //!
 //! Sampling only *reads* engine/sink state, so (like the event observers)
 //! it cannot perturb a run.
 
 use crate::protocol::{DophyNode, SinkState};
 use dophy_sim::obs::MetricsRegistry;
-use dophy_sim::{NodeId, SimDriver, Subsystem};
+use dophy_sim::{Engine, NodeId, Subsystem};
 
 /// Samples MAC, routing, coding, decode, and estimator state into `reg`.
 ///
@@ -19,12 +18,8 @@ use dophy_sim::{NodeId, SimDriver, Subsystem};
 /// across snapshots); gauges carry instantaneous values; the
 /// `mac_queue_depth` histogram accumulates one observation per node per
 /// call, building a distribution of queue depths over the run.
-pub fn sample_metrics<E: SimDriver<DophyNode>>(
-    reg: &mut MetricsRegistry,
-    engine: &E,
-    sink: &SinkState,
-) {
-    let trace = engine.trace_snapshot();
+pub fn sample_metrics(reg: &mut MetricsRegistry, engine: &Engine<DophyNode>, sink: &SinkState) {
+    let trace = engine.trace();
     let topo = engine.topology();
     let n = topo.node_count();
 

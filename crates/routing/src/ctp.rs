@@ -398,7 +398,7 @@ mod tests {
         let protos = (0..topo.node_count())
             .map(|_| RoutingOnlyNode::new(RouterConfig::default()))
             .collect();
-        let mut e = Engine::new(topo, &models, cfg.mac, cfg.hub(), protos);
+        let mut e = Engine::new(topo, &models, cfg.mac, cfg.hub(), protos, 1);
         e.start();
         e.run_for(SimDuration::from_secs(secs));
         e

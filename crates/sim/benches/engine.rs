@@ -13,7 +13,7 @@
 //! wall-clock second, reported via `Throughput::Elements`).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dophy_sim::event::{EventKind, EventQueue};
+use dophy_sim::event::EventQueue;
 use dophy_sim::{
     Ctx, Engine, Frame, LinkDynamics, MacConfig, NodeId, Payload, Placement, Protocol, RadioModel,
     SimConfig, SimDuration, SimTime, TimerId,
@@ -107,7 +107,7 @@ impl Protocol for MixedNode {
 
 /// Builds, starts, and runs an engine over the shared topology; returns
 /// events processed.
-fn run_engine<P: Protocol>(
+fn run_engine<P: Protocol + Send>(
     cfg: &SimConfig,
     topo: &Arc<dophy_sim::Topology>,
     models: &[dophy_sim::LossModel],
@@ -115,7 +115,7 @@ fn run_engine<P: Protocol>(
     make: impl Fn() -> P,
 ) -> u64 {
     let protos = (0..topo.node_count()).map(|_| make()).collect();
-    let mut e = Engine::new(Arc::clone(topo), models, cfg.mac, cfg.hub(), protos);
+    let mut e = Engine::new(Arc::clone(topo), models, cfg.mac, cfg.hub(), protos, 1);
     e.start();
     e.run_for(SimDuration::from_secs(sim_secs));
     e.events_processed()
@@ -135,10 +135,8 @@ fn bench_event_queue(c: &mut Criterion) {
                 let t = (i ^ 0x9E37_79B9).wrapping_mul(0xBF58_476D_1CE4_E5B9) % 1_000_000;
                 q.push(
                     SimTime::ZERO + SimDuration::from_micros(t),
-                    EventKind::Timer {
-                        node: NodeId((i % 1000) as u32),
-                        timer: TimerId(0),
-                    },
+                    i,
+                    (NodeId((i % 1000) as u32), TimerId(0)),
                 );
             }
             let mut popped = 0u64;

@@ -1,40 +1,37 @@
-//! The discrete-event simulation engine.
+//! The protocol-facing surface of the simulation engine.
 //!
-//! The engine owns the topology, one loss process per directed link, a MAC
-//! state machine per node, the ground-truth [`Trace`], and one protocol
-//! instance per node. Protocols are generic (`Engine<P: Protocol>`): an
-//! experiment instantiates every node with its protocol object (which may
-//! capture `Arc` handles to shared experiment state, standing in for the
-//! sink's control plane).
+//! The engine itself is [`Engine`] (defined in [`crate::shard`] and
+//! re-exported here). It owns the topology, one loss process per
+//! directed link, a MAC state machine per node, the ground-truth
+//! [`Trace`](crate::trace::Trace), and one protocol instance per node.
+//! Protocols are generic (`Engine<P: Protocol>`): an experiment
+//! instantiates every node with its protocol object (which may capture
+//! `Arc` handles to shared experiment state, standing in for the sink's
+//! control plane). This module holds what a protocol sees: the
+//! [`Protocol`] callbacks and the [`Ctx`] they receive.
 //!
 //! ## ARQ modelling
 //!
 //! A unicast send runs the full stop-and-wait ARQ exchange *inline* at
 //! dequeue time: each attempt's backoff, airtime, loss draw, and ACK draw
-//! are sampled immediately and the resulting `Deliver`/`SendDone` events are
-//! scheduled at their proper future times. This produces statistics
-//! identical to per-attempt event dispatch at a fraction of the event-queue
-//! traffic. Every *successful* attempt delivers a frame copy (tagged with
-//! its attempt number), so ACK loss yields realistic duplicates that
-//! receivers must suppress — the first copy's attempt number is the
-//! geometric sample Dophy's estimator consumes.
+//! are sampled immediately and the resulting deliveries and send
+//! completion are scheduled at their proper future times. This produces
+//! statistics identical to per-attempt event dispatch at a fraction of
+//! the event-queue traffic. Every *successful* attempt delivers a frame
+//! copy (tagged with its attempt number), so ACK loss yields realistic
+//! duplicates that receivers must suppress — the first copy's attempt
+//! number is the geometric sample Dophy's estimator consumes.
 
-use crate::event::{EventKind, EventQueue};
-use crate::link::{LossModel, LossProcess};
 use crate::mac::MacConfig;
-use crate::obs::{
-    AckEvent, DropEvent, DropReason, Observer, RxEvent, SpanEvent, SpanPhase, TimerEvent, TxEvent,
-};
+use crate::obs::Observer;
 use crate::packet::{Frame, Payload, SendDone, SendToken, TimerId};
-use crate::profile::{self, Profiler, Subsystem};
-use crate::rng::{RngHub, StreamKind};
+use crate::profile::Profiler;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, Topology};
-use crate::trace::Trace;
 use rand::rngs::SmallRng;
-use rand::Rng;
 use std::collections::VecDeque;
-use std::sync::Arc;
+
+pub use crate::shard::Engine;
 
 /// Wire size of a link-layer ACK (802.15.4 imm-ack is 11 bytes with
 /// preamble).
@@ -56,10 +53,8 @@ pub trait Protocol: 'static {
     fn on_send_done(&mut self, _ctx: &mut Ctx<'_>, _done: &SendDone) {}
 }
 
-/// Command buffer entry produced by protocol callbacks.
-///
-/// Crate-visible so the sharded engine (`crate::shard`) can drain the same
-/// buffer with identical semantics.
+/// Command buffer entry produced by protocol callbacks, drained by the
+/// engine after each callback returns.
 pub(crate) enum Command {
     Unicast {
         dst: NodeId,
@@ -84,8 +79,8 @@ pub(crate) enum Command {
 
 /// Protocol-side view of the node and its environment.
 ///
-/// Fields are crate-visible so the sharded engine can construct the same
-/// callback context; protocols only ever see the public methods.
+/// Fields are crate-visible so the engine can construct the callback
+/// context; protocols only ever see the public methods.
 pub struct Ctx<'a> {
     pub(crate) now: SimTime,
     pub(crate) node: NodeId,
@@ -232,1407 +227,4 @@ pub(crate) struct QueuedTx {
 pub(crate) struct MacState {
     pub(crate) busy: bool,
     pub(crate) queue: VecDeque<QueuedTx>,
-}
-
-/// The simulation engine. See the module docs for the execution model.
-pub struct Engine<P: Protocol> {
-    topo: Arc<Topology>,
-    mac_cfg: MacConfig,
-    time: SimTime,
-    queue: EventQueue,
-    protocols: Vec<Option<P>>,
-    proto_rngs: Vec<SmallRng>,
-    backoff_rngs: Vec<SmallRng>,
-    /// RNG hub the engine was built from; per-link streams are derived
-    /// from it lazily (see `link_rngs`).
-    hub: RngHub,
-    /// Data-direction loss process per topology link id.
-    link_procs: Vec<LossProcess>,
-    /// Per-link loss stream, created on first draw. Streams are seeded
-    /// independently per `(kind, src, dst)`, so deferring creation cannot
-    /// change any draw — it only skips seeding work for links that never
-    /// carry traffic (at 1000 nodes eager init cost ~2 ms per engine,
-    /// which dominated short sweep cells).
-    link_rngs: Vec<Option<SmallRng>>,
-    /// ACK-direction loss process per topology link id (independent state
-    /// built from the reverse link's model; see DESIGN.md substitutions).
-    ack_procs: Vec<Option<LossProcess>>,
-    /// Per-link ACK stream, lazily created like `link_rngs`.
-    ack_rngs: Vec<Option<SmallRng>>,
-    macs: Vec<MacState>,
-    /// Per-node radio power state (off = failed/sleeping node).
-    radio_on: Vec<bool>,
-    trace: Trace,
-    next_token: u64,
-    cmd_buf: Vec<Command>,
-    /// Pool of receiver lists recycled through [`EventKind::DeliverBatch`]
-    /// events, so steady-state broadcasting allocates nothing.
-    dst_pool: Vec<Vec<NodeId>>,
-    started: bool,
-    /// Optional structured-event observer; `None` costs one untaken
-    /// branch per hook site.
-    observer: Option<Arc<dyn Observer>>,
-    /// Optional hot-path self-profiler; `None` costs one untaken branch
-    /// per instrumented scope (see [`crate::profile`]).
-    profiler: Option<Arc<Profiler>>,
-    /// Events executed by [`Engine::step`] since construction.
-    events_processed: u64,
-}
-
-impl<P: Protocol> Engine<P> {
-    /// Assembles an engine.
-    ///
-    /// `loss_models[i]` is the loss process for topology link `i` (use
-    /// [`crate::config::LinkDynamics::build_models`] to derive them from the
-    /// generated base PRRs). `protocols[n]` is node `n`'s protocol.
-    ///
-    /// # Panics
-    /// Panics if the vector lengths do not match the topology.
-    pub fn new(
-        topo: Arc<Topology>,
-        loss_models: &[LossModel],
-        mac_cfg: MacConfig,
-        hub: RngHub,
-        protocols: Vec<P>,
-    ) -> Self {
-        let n = topo.node_count();
-        assert_eq!(protocols.len(), n, "one protocol per node");
-        assert_eq!(
-            loss_models.len(),
-            topo.links().len(),
-            "one loss model per link"
-        );
-        let link_procs: Vec<LossProcess> = loss_models.iter().map(LossModel::build).collect();
-        // Per-link RNG streams are created lazily at first draw (each
-        // stream is seeded independently from `(kind, src, dst)`, so
-        // deferral is draw-order neutral — see the replay-identity test).
-        let link_rngs: Vec<Option<SmallRng>> = vec![None; topo.links().len()];
-        // ACK process: reverse link's model with independent state.
-        let ack_procs: Vec<Option<LossProcess>> = topo
-            .links()
-            .iter()
-            .map(|l| {
-                topo.link_id(l.dst, l.src)
-                    .map(|rid| loss_models[rid].build())
-            })
-            .collect();
-        let ack_rngs: Vec<Option<SmallRng>> = vec![None; topo.links().len()];
-        let proto_rngs = (0..n)
-            .map(|i| hub.stream(StreamKind::Protocol, i as u64, 0))
-            .collect();
-        let backoff_rngs = (0..n)
-            .map(|i| hub.stream(StreamKind::Backoff, i as u64, 0))
-            .collect();
-        let trace = Trace::for_topology(&topo);
-        Self {
-            topo,
-            mac_cfg,
-            time: SimTime::ZERO,
-            queue: EventQueue::new(),
-            protocols: protocols.into_iter().map(Some).collect(),
-            proto_rngs,
-            backoff_rngs,
-            hub,
-            link_procs,
-            link_rngs,
-            ack_procs,
-            ack_rngs,
-            macs: (0..n)
-                .map(|_| MacState {
-                    busy: false,
-                    queue: VecDeque::new(),
-                })
-                .collect(),
-            radio_on: vec![true; n],
-            trace,
-            next_token: 0,
-            cmd_buf: Vec::new(),
-            dst_pool: Vec::new(),
-            started: false,
-            observer: None,
-            profiler: None,
-            events_processed: 0,
-        }
-    }
-
-    /// Forces creation of every per-link RNG stream up front, restoring
-    /// the eager-init behavior. Lazy and prewarmed engines must produce
-    /// byte-identical runs (streams are independently seeded); this
-    /// exists so tests and benchmarks can prove/measure exactly that.
-    pub fn prewarm_rng_streams(&mut self) {
-        let hub = self.hub;
-        for link_id in 0..self.link_procs.len() {
-            let (src, dst) = {
-                let l = &self.topo.links()[link_id];
-                (l.src, l.dst)
-            };
-            self.link_rngs[link_id].get_or_insert_with(|| {
-                hub.stream(StreamKind::LinkLoss, u64::from(src.0), u64::from(dst.0))
-            });
-            self.ack_rngs[link_id].get_or_insert_with(|| {
-                hub.stream(StreamKind::AckLoss, u64::from(src.0), u64::from(dst.0))
-            });
-        }
-    }
-
-    /// Installs a structured-event observer. Observers only *read* event
-    /// payloads — they cannot touch simulation state or RNG streams, so a
-    /// run behaves bit-identically with or without one.
-    pub fn set_observer(&mut self, observer: Arc<dyn Observer>) {
-        self.observer = Some(observer);
-    }
-
-    /// Installs a hot-path self-profiler. Profiling measures wall time
-    /// only — it never touches simulation state or RNG streams, so a
-    /// profiled run is bit-identical to a bare run of the same seed.
-    pub fn set_profiler(&mut self, profiler: Arc<Profiler>) {
-        self.profiler = Some(profiler);
-    }
-
-    /// The installed self-profiler, if any (for metric export).
-    pub fn profiler(&self) -> Option<&Profiler> {
-        self.profiler.as_deref()
-    }
-
-    /// Emits a lifecycle span when the frame being handled is traced.
-    pub(crate) fn emit_span(
-        obs: &dyn Observer,
-        at: SimTime,
-        trace: Option<u64>,
-        node: u32,
-        phase: SpanPhase,
-    ) {
-        if let Some(trace_id) = trace {
-            obs.on_span(
-                at,
-                &SpanEvent {
-                    trace_id,
-                    node,
-                    phase,
-                },
-            );
-        }
-    }
-
-    /// Number of events executed by [`Engine::step`] so far.
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
-    }
-
-    /// Current MAC transmit-queue depth of node `n`.
-    pub fn queue_depth(&self, n: NodeId) -> usize {
-        self.macs[n.index()].queue.len()
-    }
-
-    fn obs(&self) -> Option<&dyn Observer> {
-        self.observer.as_deref()
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.time
-    }
-
-    /// The topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
-    /// Ground-truth trace.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Mutable trace access (experiments may reset windows).
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
-    }
-
-    /// Immutable access to node `n`'s protocol.
-    ///
-    /// # Panics
-    /// Panics if called re-entrantly from inside a protocol callback.
-    pub fn protocol(&self, n: NodeId) -> &P {
-        self.protocols[n.index()]
-            .as_ref()
-            .expect("protocol checked out")
-    }
-
-    /// Mutable access to node `n`'s protocol (between steps).
-    pub fn protocol_mut(&mut self, n: NodeId) -> &mut P {
-        self.protocols[n.index()]
-            .as_mut()
-            .expect("protocol checked out")
-    }
-
-    /// Consumes the engine, returning all protocol instances.
-    pub fn into_protocols(self) -> Vec<P> {
-        self.protocols
-            .into_iter()
-            .map(|p| p.expect("protocol checked out"))
-            .collect()
-    }
-
-    /// Instantaneous true PRR of topology link `link_id` (advances drift
-    /// state deterministically off the link's dynamics stream — callers
-    /// should treat this as a read at the current time).
-    pub fn true_prr_now(&mut self, link_id: usize) -> f64 {
-        let now = self.time;
-        let hub = self.hub;
-        let (src, dst) = {
-            let l = &self.topo.links()[link_id];
-            (l.src, l.dst)
-        };
-        let rng = self.link_rngs[link_id].get_or_insert_with(|| {
-            hub.stream(StreamKind::LinkLoss, u64::from(src.0), u64::from(dst.0))
-        });
-        self.link_procs[link_id].prr_at(now, rng)
-    }
-
-    /// Stationary/mean PRR of link `link_id`'s loss model.
-    pub fn stationary_prr(&self, link_id: usize) -> f64 {
-        self.link_procs[link_id].model().stationary_prr()
-    }
-
-    /// Calls `on_init` for every node (id order). Must be called exactly
-    /// once, before stepping.
-    ///
-    /// # Panics
-    /// Panics on a second call.
-    pub fn start(&mut self) {
-        assert!(!self.started, "engine already started");
-        self.started = true;
-        for i in 0..self.topo.node_count() {
-            self.with_protocol(NodeId::from_index(i), |p, ctx| p.on_init(ctx));
-        }
-    }
-
-    /// Executes the next event. Returns false when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        let t0 = profile::start(self.profiler.as_deref());
-        let popped = self.queue.pop();
-        profile::stop(self.profiler.as_deref(), Subsystem::QueuePop, t0);
-        let Some((t, kind)) = popped else {
-            return false;
-        };
-        self.dispatch(t, kind);
-        true
-    }
-
-    /// Executes one already-popped event.
-    fn dispatch(&mut self, t: SimTime, kind: EventKind) {
-        debug_assert!(t >= self.time, "event from the past");
-        self.time = t;
-        self.events_processed += 1;
-        match kind {
-            EventKind::Timer { node, timer } => {
-                if let Some(obs) = self.obs() {
-                    obs.on_timer(
-                        t,
-                        &TimerEvent {
-                            node: node.0,
-                            timer: timer.0,
-                        },
-                    );
-                }
-                self.with_protocol(node, |p, ctx| p.on_timer(ctx, timer));
-            }
-            EventKind::Deliver { frame } => {
-                let dst = frame.dst;
-                // A copy already in flight when the radio went down is lost.
-                if self.radio_on[dst.index()] {
-                    if let Some(obs) = self.obs() {
-                        obs.on_rx(
-                            t,
-                            &RxEvent {
-                                src: frame.src.0,
-                                dst: dst.0,
-                                attempt: frame.attempt,
-                                bytes: frame.wire_bytes as u32,
-                                broadcast: frame.is_broadcast,
-                            },
-                        );
-                        Self::emit_span(
-                            obs,
-                            t,
-                            frame.trace_id,
-                            dst.0,
-                            SpanPhase::Deliver {
-                                src: frame.src.0,
-                                attempt: frame.attempt,
-                            },
-                        );
-                    }
-                    self.with_protocol(dst, |p, ctx| p.on_frame(ctx, &frame));
-                } else if let Some(obs) = self.obs() {
-                    obs.on_drop(
-                        t,
-                        &DropEvent {
-                            node: dst.0,
-                            dst: None,
-                            reason: DropReason::ReceiverOff,
-                        },
-                    );
-                    Self::emit_span(
-                        obs,
-                        t,
-                        frame.trace_id,
-                        dst.0,
-                        SpanPhase::Drop {
-                            reason: DropReason::ReceiverOff,
-                        },
-                    );
-                }
-            }
-            EventKind::DeliverBatch {
-                mut frame,
-                mut dsts,
-            } => {
-                // Same per-receiver semantics as `Deliver`, replayed over
-                // the batch in fan-out order. Throughput accounting stays
-                // comparable with the unbatched engine: one unit per copy
-                // delivered, not per queue event (the prologue counted 1).
-                self.events_processed += dsts.len() as u64 - 1;
-                for &dst in &dsts {
-                    // A copy already in flight when the radio went down is
-                    // lost.
-                    if self.radio_on[dst.index()] {
-                        if let Some(obs) = self.obs() {
-                            obs.on_rx(
-                                t,
-                                &RxEvent {
-                                    src: frame.src.0,
-                                    dst: dst.0,
-                                    attempt: frame.attempt,
-                                    bytes: frame.wire_bytes as u32,
-                                    broadcast: frame.is_broadcast,
-                                },
-                            );
-                            Self::emit_span(
-                                obs,
-                                t,
-                                frame.trace_id,
-                                dst.0,
-                                SpanPhase::Deliver {
-                                    src: frame.src.0,
-                                    attempt: frame.attempt,
-                                },
-                            );
-                        }
-                        frame.dst = dst;
-                        self.with_protocol(dst, |p, ctx| p.on_frame(ctx, &frame));
-                    } else if let Some(obs) = self.obs() {
-                        obs.on_drop(
-                            t,
-                            &DropEvent {
-                                node: dst.0,
-                                dst: None,
-                                reason: DropReason::ReceiverOff,
-                            },
-                        );
-                        Self::emit_span(
-                            obs,
-                            t,
-                            frame.trace_id,
-                            dst.0,
-                            SpanPhase::Drop {
-                                reason: DropReason::ReceiverOff,
-                            },
-                        );
-                    }
-                }
-                dsts.clear();
-                self.dst_pool.push(dsts);
-            }
-            EventKind::SendDone { node, done } => {
-                self.macs[node.index()].busy = false;
-                self.with_protocol(node, |p, ctx| p.on_send_done(ctx, &done));
-                self.try_dequeue(node);
-            }
-        }
-    }
-
-    /// Runs until simulated time `deadline` (events at exactly `deadline`
-    /// are executed). Sets the clock to `deadline` on return.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        assert!(self.started, "call start() first");
-        loop {
-            let t0 = profile::start(self.profiler.as_deref());
-            let popped = self.queue.pop_at_or_before(deadline);
-            profile::stop(self.profiler.as_deref(), Subsystem::QueuePop, t0);
-            let Some((t, kind)) = popped else {
-                break;
-            };
-            self.dispatch(t, kind);
-        }
-        self.time = deadline;
-    }
-
-    /// Runs for `span` of simulated time from the current clock.
-    pub fn run_for(&mut self, span: SimDuration) {
-        let deadline = self.time + span;
-        self.run_until(deadline);
-    }
-
-    /// Checks a protocol out, builds a `Ctx`, runs `f`, then drains the
-    /// command buffer.
-    fn with_protocol<F>(&mut self, node: NodeId, f: F)
-    where
-        F: FnOnce(&mut P, &mut Ctx<'_>),
-    {
-        let mut cmds = std::mem::take(&mut self.cmd_buf);
-        {
-            // Split borrow: the protocol slot and the Ctx fields are
-            // disjoint, so the protocol is dispatched in place instead of
-            // being moved out and back (protocol state can be large).
-            let proto = self.protocols[node.index()]
-                .as_mut()
-                .expect("protocol checked out");
-            let mut ctx = Ctx {
-                now: self.time,
-                node,
-                topo: &self.topo,
-                mac: &self.mac_cfg,
-                rng: &mut self.proto_rngs[node.index()],
-                commands: &mut cmds,
-                next_token: &mut self.next_token,
-                observer: self.observer.as_deref(),
-                profiler: self.profiler.as_deref(),
-            };
-            f(proto, &mut ctx);
-        }
-        self.drain_commands(node, &mut cmds);
-        cmds.clear();
-        self.cmd_buf = cmds;
-    }
-
-    fn drain_commands(&mut self, node: NodeId, cmds: &mut Vec<Command>) {
-        for cmd in cmds.drain(..) {
-            match cmd {
-                Command::Timer { delay, timer } => {
-                    self.queue
-                        .push(self.time + delay, EventKind::Timer { node, timer });
-                }
-                Command::Unicast {
-                    dst,
-                    token,
-                    payload,
-                    bytes,
-                    trace,
-                } => {
-                    self.enqueue_tx(
-                        node,
-                        QueuedTx {
-                            dst: Some(dst),
-                            token,
-                            payload,
-                            bytes,
-                            trace,
-                        },
-                    );
-                }
-                Command::Broadcast {
-                    payload,
-                    bytes,
-                    trace,
-                } => {
-                    self.enqueue_tx(
-                        node,
-                        QueuedTx {
-                            dst: None,
-                            token: SendToken(u64::MAX),
-                            payload,
-                            bytes,
-                            trace,
-                        },
-                    );
-                }
-                Command::SetRadio { on } => {
-                    self.radio_on[node.index()] = on;
-                }
-            }
-        }
-    }
-
-    /// Whether node `n`'s radio is currently on.
-    pub fn radio_on(&self, n: NodeId) -> bool {
-        self.radio_on[n.index()]
-    }
-
-    fn enqueue_tx(&mut self, node: NodeId, tx: QueuedTx) {
-        if !self.radio_on[node.index()] {
-            // Radio off: the frame silently dies in the driver.
-            self.trace.queue_drops += 1;
-            if let Some(obs) = self.obs() {
-                obs.on_drop(
-                    self.time,
-                    &DropEvent {
-                        node: node.0,
-                        dst: tx.dst.map(|d| d.0),
-                        reason: DropReason::RadioOff,
-                    },
-                );
-                Self::emit_span(
-                    obs,
-                    self.time,
-                    tx.trace,
-                    node.0,
-                    SpanPhase::Drop {
-                        reason: DropReason::RadioOff,
-                    },
-                );
-            }
-            if let Some(dst) = tx.dst {
-                self.queue.push(
-                    self.time,
-                    EventKind::SendDone {
-                        node,
-                        done: SendDone {
-                            token: tx.token,
-                            dst,
-                            acked: false,
-                            attempts: 0,
-                        },
-                    },
-                );
-            }
-            return;
-        }
-        if self.macs[node.index()].queue.len() >= self.mac_cfg.queue_capacity {
-            self.trace.queue_drops += 1;
-            if let Some(obs) = self.obs() {
-                obs.on_drop(
-                    self.time,
-                    &DropEvent {
-                        node: node.0,
-                        dst: tx.dst.map(|d| d.0),
-                        reason: DropReason::QueueFull,
-                    },
-                );
-                Self::emit_span(
-                    obs,
-                    self.time,
-                    tx.trace,
-                    node.0,
-                    SpanPhase::Drop {
-                        reason: DropReason::QueueFull,
-                    },
-                );
-            }
-            // Report the drop (unicast only; broadcasts are fire-and-forget).
-            if let Some(dst) = tx.dst {
-                self.queue.push(
-                    self.time,
-                    EventKind::SendDone {
-                        node,
-                        done: SendDone {
-                            token: tx.token,
-                            dst,
-                            acked: false,
-                            attempts: 0,
-                        },
-                    },
-                );
-            }
-            return;
-        }
-        self.macs[node.index()].queue.push_back(tx);
-        self.try_dequeue(node);
-    }
-
-    fn try_dequeue(&mut self, node: NodeId) {
-        let mac = &mut self.macs[node.index()];
-        if mac.busy {
-            return;
-        }
-        let Some(tx) = mac.queue.pop_front() else {
-            return;
-        };
-        mac.busy = true;
-        match tx.dst {
-            None => {
-                let t0 = profile::start(self.profiler.as_deref());
-                self.transmit_broadcast(node, tx);
-                profile::stop(self.profiler.as_deref(), Subsystem::BroadcastFanout, t0);
-            }
-            Some(dst) => {
-                let t0 = profile::start(self.profiler.as_deref());
-                self.transmit_unicast(node, dst, tx);
-                profile::stop(self.profiler.as_deref(), Subsystem::UnicastArq, t0);
-            }
-        }
-    }
-
-    fn backoff(&mut self, node: NodeId) -> SimDuration {
-        let base = self.mac_cfg.backoff_us;
-        let jitter = self.backoff_rngs[node.index()].gen_range(base / 2..base + base / 2 + 1);
-        SimDuration::from_micros(jitter)
-    }
-
-    fn transmit_broadcast(&mut self, node: NodeId, tx: QueuedTx) {
-        let t_done = self.time + self.backoff(node) + self.mac_cfg.tx_time(tx.bytes);
-        self.trace.broadcast_tx += 1;
-        self.trace.bytes_on_air += tx.bytes as u64;
-        if let Some(obs) = self.obs() {
-            obs.on_tx(
-                t_done,
-                &TxEvent {
-                    src: node.0,
-                    dst: None,
-                    attempt: 1,
-                    bytes: tx.bytes as u32,
-                    ok: true,
-                },
-            );
-            Self::emit_span(
-                obs,
-                t_done,
-                tx.trace,
-                node.0,
-                SpanPhase::Tx {
-                    dst: None,
-                    attempt: 1,
-                    ok: true,
-                },
-            );
-        }
-        // Cloning the Arc (a refcount bump) detaches the adjacency borrow
-        // from `self`, so the fan-out iterates the topology's contiguous
-        // (neighbor, link id) pairs directly — no per-beacon Vec clone.
-        let topo = Arc::clone(&self.topo);
-        let hub = self.hub;
-        let mut dsts = self.dst_pool.pop().unwrap_or_default();
-        for (i, (v, link_id)) in topo.neighbor_links(node).enumerate() {
-            // Delivery order is part of the determinism contract: pairs
-            // must mirror `neighbors()` (descending base PRR) and agree
-            // with the dense dst→link index.
-            debug_assert_eq!(topo.neighbors(node)[i], v);
-            debug_assert_eq!(topo.link_id(node, v), Some(link_id));
-            if !self.radio_on[v.index()] {
-                continue; // receiver powered down: nothing samples the channel
-            }
-            let rng = self.link_rngs[link_id].get_or_insert_with(|| {
-                hub.stream(StreamKind::LinkLoss, u64::from(node.0), u64::from(v.0))
-            });
-            let ok = self.link_procs[link_id].sample(t_done, rng);
-            self.trace.record_broadcast_attempt(link_id, ok);
-            if ok {
-                self.trace.broadcast_rx += 1;
-                dsts.push(v);
-            }
-        }
-        // All surviving copies arrive at `t_done`: one batch event stands
-        // in for the per-receiver `Deliver`s (same callback order — see
-        // `EventKind::DeliverBatch`) at a fraction of the queue traffic.
-        if dsts.is_empty() {
-            self.dst_pool.push(dsts);
-        } else {
-            self.queue.push(
-                t_done,
-                EventKind::DeliverBatch {
-                    frame: Frame {
-                        src: node,
-                        dst: node, // placeholder; rewritten per receiver
-                        is_broadcast: true,
-                        attempt: 1,
-                        wire_bytes: tx.bytes,
-                        rx_time: t_done,
-                        trace_id: tx.trace,
-                        payload: Arc::clone(&tx.payload),
-                    },
-                    dsts,
-                },
-            );
-        }
-        // Broadcast completion frees the MAC; protocols are not notified
-        // per-broadcast (fire-and-forget), so reuse SendDone with the
-        // sentinel token for the MAC bookkeeping only.
-        self.queue.push(
-            t_done,
-            EventKind::SendDone {
-                node,
-                done: SendDone {
-                    token: tx.token,
-                    dst: node,
-                    acked: true,
-                    attempts: 1,
-                },
-            },
-        );
-    }
-
-    fn transmit_unicast(&mut self, node: NodeId, dst: NodeId, tx: QueuedTx) {
-        let Some(link_id) = self.topo.link_id(node, dst) else {
-            // No usable link: the MAC burns one attempt cycle and gives up
-            // (models sending into the void).
-            let t_done = self.time + self.backoff(node) + self.mac_cfg.attempt_floor(tx.bytes);
-            self.trace.unicast_started += 1;
-            self.trace.unicast_failed += 1;
-            if let Some(obs) = self.obs() {
-                obs.on_drop(
-                    t_done,
-                    &DropEvent {
-                        node: node.0,
-                        dst: Some(dst.0),
-                        reason: DropReason::NoLink,
-                    },
-                );
-                Self::emit_span(
-                    obs,
-                    t_done,
-                    tx.trace,
-                    node.0,
-                    SpanPhase::Drop {
-                        reason: DropReason::NoLink,
-                    },
-                );
-            }
-            self.queue.push(
-                t_done,
-                EventKind::SendDone {
-                    node,
-                    done: SendDone {
-                        token: tx.token,
-                        dst,
-                        acked: false,
-                        attempts: 1,
-                    },
-                },
-            );
-            return;
-        };
-
-        // A powered-down receiver answers nothing: the sender burns its
-        // whole budget. The channel itself is not sampled (no PRR truth
-        // pollution), but airtime is still spent.
-        if !self.radio_on[dst.index()] {
-            let mut t = self.time;
-            for _ in 0..self.mac_cfg.max_attempts {
-                t = t + self.backoff(node) + self.mac_cfg.attempt_floor(tx.bytes);
-                self.trace.bytes_on_air += tx.bytes as u64;
-            }
-            self.trace.unicast_started += 1;
-            self.trace.unicast_failed += 1;
-            if let Some(obs) = self.obs() {
-                obs.on_drop(
-                    t,
-                    &DropEvent {
-                        node: node.0,
-                        dst: Some(dst.0),
-                        reason: DropReason::ReceiverOff,
-                    },
-                );
-                Self::emit_span(
-                    obs,
-                    t,
-                    tx.trace,
-                    node.0,
-                    SpanPhase::Drop {
-                        reason: DropReason::ReceiverOff,
-                    },
-                );
-            }
-            self.queue.push(
-                t,
-                EventKind::SendDone {
-                    node,
-                    done: SendDone {
-                        token: tx.token,
-                        dst,
-                        acked: false,
-                        attempts: self.mac_cfg.max_attempts,
-                    },
-                },
-            );
-            return;
-        }
-
-        self.trace.unicast_started += 1;
-        let hub = self.hub;
-        let mut t = self.time;
-        let mut acked_at_attempt: Option<u16> = None;
-        for attempt in 1..=self.mac_cfg.max_attempts {
-            t = t + self.backoff(node) + self.mac_cfg.tx_time(tx.bytes);
-            let rng = self.link_rngs[link_id].get_or_insert_with(|| {
-                hub.stream(StreamKind::LinkLoss, u64::from(node.0), u64::from(dst.0))
-            });
-            let data_ok = self.link_procs[link_id].sample(t, rng);
-            self.trace.record_data_attempt(link_id, data_ok, tx.bytes);
-            if let Some(obs) = self.obs() {
-                obs.on_tx(
-                    t,
-                    &TxEvent {
-                        src: node.0,
-                        dst: Some(dst.0),
-                        attempt,
-                        bytes: tx.bytes as u32,
-                        ok: data_ok,
-                    },
-                );
-                Self::emit_span(
-                    obs,
-                    t,
-                    tx.trace,
-                    node.0,
-                    SpanPhase::Tx {
-                        dst: Some(dst.0),
-                        attempt,
-                        ok: data_ok,
-                    },
-                );
-            }
-            if data_ok {
-                // Deliver this copy (duplicates possible across attempts).
-                self.queue.push(
-                    t,
-                    EventKind::Deliver {
-                        frame: Frame {
-                            src: node,
-                            dst,
-                            is_broadcast: false,
-                            attempt,
-                            wire_bytes: tx.bytes,
-                            rx_time: t,
-                            trace_id: tx.trace,
-                            payload: Arc::clone(&tx.payload),
-                        },
-                    },
-                );
-                let t_ack = t + SimDuration::from_micros(self.mac_cfg.ack_us);
-                let ack_ok = match self.ack_procs[link_id].as_mut() {
-                    Some(proc_) => {
-                        let ack_rng = self.ack_rngs[link_id].get_or_insert_with(|| {
-                            hub.stream(StreamKind::AckLoss, u64::from(node.0), u64::from(dst.0))
-                        });
-                        proc_.sample(t_ack, ack_rng)
-                    }
-                    None => false, // asymmetric link: ACK direction unusable
-                };
-                self.trace.record_ack_attempt(link_id, ack_ok, ACK_BYTES);
-                if let Some(obs) = self.obs() {
-                    obs.on_ack(
-                        t_ack,
-                        &AckEvent {
-                            src: node.0,
-                            dst: dst.0,
-                            attempt,
-                            ok: ack_ok,
-                        },
-                    );
-                }
-                t = t_ack;
-                if ack_ok {
-                    acked_at_attempt = Some(attempt);
-                    break;
-                }
-            } else {
-                // Sender times out waiting for the ACK.
-                t += SimDuration::from_micros(self.mac_cfg.ack_us);
-            }
-        }
-        let done = match acked_at_attempt {
-            Some(attempts) => {
-                self.trace.unicast_acked += 1;
-                self.trace.attempts_hist.record(usize::from(attempts));
-                SendDone {
-                    token: tx.token,
-                    dst,
-                    acked: true,
-                    attempts,
-                }
-            }
-            None => {
-                self.trace.unicast_failed += 1;
-                if let Some(obs) = self.obs() {
-                    obs.on_drop(
-                        t,
-                        &DropEvent {
-                            node: node.0,
-                            dst: Some(dst.0),
-                            reason: DropReason::LinkExhausted,
-                        },
-                    );
-                    Self::emit_span(
-                        obs,
-                        t,
-                        tx.trace,
-                        node.0,
-                        SpanPhase::Drop {
-                            reason: DropReason::LinkExhausted,
-                        },
-                    );
-                }
-                SendDone {
-                    token: tx.token,
-                    dst,
-                    acked: false,
-                    attempts: self.mac_cfg.max_attempts,
-                }
-            }
-        };
-        self.queue.push(t, EventKind::SendDone { node, done });
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::link::LossModel;
-    use crate::radio::RadioModel;
-    use crate::topology::Placement;
-
-    /// Minimal protocol: node 1 sends `count` frames to node 0; node 0
-    /// counts first-copy receptions and attempt numbers.
-    #[derive(Default)]
-    struct Pinger {
-        to_send: u32,
-        period: SimDuration,
-        received: Vec<u16>,  // attempt numbers of received copies
-        dedup_received: u32, // unique frames (by seqno)
-        seen: std::collections::HashSet<u32>,
-        acked: u32,
-        failed: u32,
-        attempts_reported: Vec<u16>,
-    }
-
-    #[derive(Debug)]
-    struct Ping {
-        seq: u32,
-    }
-
-    impl Protocol for Pinger {
-        fn on_init(&mut self, ctx: &mut Ctx<'_>) {
-            if ctx.node_id() == NodeId(1) && self.to_send > 0 {
-                ctx.set_timer(self.period, TimerId(0));
-            }
-        }
-
-        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _timer: TimerId) {
-            if self.to_send == 0 {
-                return;
-            }
-            self.to_send -= 1;
-            let seq = self.to_send;
-            ctx.send_unicast(NodeId(0), Arc::new(Ping { seq }), 40);
-            if self.to_send > 0 {
-                ctx.set_timer(self.period, TimerId(0));
-            }
-        }
-
-        fn on_frame(&mut self, _ctx: &mut Ctx<'_>, frame: &Frame) {
-            let ping = frame.payload_as::<Ping>().expect("ping payload");
-            self.received.push(frame.attempt);
-            if self.seen.insert(ping.seq) {
-                self.dedup_received += 1;
-            }
-        }
-
-        fn on_send_done(&mut self, _ctx: &mut Ctx<'_>, done: &SendDone) {
-            if done.acked {
-                self.acked += 1;
-                self.attempts_reported.push(done.attempts);
-            } else {
-                self.failed += 1;
-            }
-        }
-    }
-
-    fn two_node_engine(prr: f64, count: u32) -> Engine<Pinger> {
-        let hub = RngHub::new(7);
-        let topo = Arc::new(Topology::generate(
-            Placement::Line { n: 2, spacing: 5.0 },
-            &RadioModel::default(),
-            &hub,
-        ));
-        assert!(topo.link_id(NodeId(1), NodeId(0)).is_some());
-        let models: Vec<LossModel> = topo
-            .links()
-            .iter()
-            .map(|_| LossModel::Bernoulli { prr })
-            .collect();
-        let protocols = (0..topo.node_count())
-            .map(|_| Pinger {
-                to_send: count,
-                period: SimDuration::from_millis(200),
-                ..Pinger::default()
-            })
-            .collect();
-        Engine::new(topo, &models, MacConfig::default(), hub, protocols)
-    }
-
-    #[test]
-    fn perfect_link_delivers_everything_once() {
-        let mut e = two_node_engine(1.0, 50);
-        e.start();
-        e.run_for(SimDuration::from_secs(60));
-        let sink = e.protocol(NodeId(0));
-        assert_eq!(sink.dedup_received, 50);
-        assert_eq!(sink.received.len(), 50, "no duplicates on a perfect link");
-        assert!(sink.received.iter().all(|&a| a == 1));
-        let sender = e.protocol(NodeId(1));
-        assert_eq!(sender.acked, 50);
-        assert_eq!(sender.failed, 0);
-        assert!(sender.attempts_reported.iter().all(|&a| a == 1));
-    }
-
-    #[test]
-    fn lossy_link_retransmits() {
-        let mut e = two_node_engine(0.6, 400);
-        e.start();
-        e.run_for(SimDuration::from_secs(300));
-        let sender = e.protocol(NodeId(1));
-        assert!(sender.acked > 350, "acked {}", sender.acked);
-        // An attempt is "settled" only when data AND ack get through:
-        // p = 0.36 → mean ≈ 1/0.36 ≈ 2.8, truncated at R=7 → ≈ 2.45.
-        let mean: f64 = sender
-            .attempts_reported
-            .iter()
-            .map(|&a| f64::from(a))
-            .sum::<f64>()
-            / sender.attempts_reported.len() as f64;
-        assert!(mean > 2.0 && mean < 3.0, "mean attempts {mean}");
-        // Trace agrees with protocol-level counts.
-        let t = e.trace();
-        assert_eq!(t.unicast_started, 400);
-        assert_eq!(t.unicast_acked, u64::from(sender.acked));
-    }
-
-    #[test]
-    fn dead_link_fails_everything() {
-        let mut e = two_node_engine(0.0, 20);
-        e.start();
-        e.run_for(SimDuration::from_secs(60));
-        let sender = e.protocol(NodeId(1));
-        assert_eq!(sender.acked, 0);
-        assert_eq!(sender.failed, 20);
-        let sink = e.protocol(NodeId(0));
-        assert_eq!(sink.dedup_received, 0);
-        // All attempts burned.
-        assert_eq!(
-            e.trace().links()[e.topology().link_id(NodeId(1), NodeId(0)).unwrap()].data_tx,
-            20 * u64::from(MacConfig::default().max_attempts)
-        );
-    }
-
-    #[test]
-    fn first_copy_attempt_is_geometric_sample() {
-        // With ACK losses, receivers may see duplicates; the FIRST copy's
-        // attempt number must match the number of data transmissions until
-        // first success. Verify via trace: total successes on the link
-        // equals total copies delivered.
-        let mut e = two_node_engine(0.5, 300);
-        e.start();
-        e.run_for(SimDuration::from_secs(300));
-        let link = e.topology().link_id(NodeId(1), NodeId(0)).unwrap();
-        let truth = e.trace().links()[link];
-        let sink = e.protocol(NodeId(0));
-        assert_eq!(truth.data_rx, sink.received.len() as u64);
-        // Empirical PRR near 0.5.
-        let prr = truth.empirical_prr().unwrap();
-        assert!((prr - 0.5).abs() < 0.05, "prr {prr}");
-    }
-
-    #[test]
-    fn engine_is_deterministic() {
-        let run = || {
-            let mut e = two_node_engine(0.7, 100);
-            e.start();
-            e.run_for(SimDuration::from_secs(120));
-            let s = e.protocol(NodeId(0));
-            (s.dedup_received, s.received.clone(), e.trace().bytes_on_air)
-        };
-        assert_eq!(run(), run());
-    }
-
-    /// Exercises many links at once: every node periodically broadcasts
-    /// and unicasts towards node 0, so broadcast fan-out, ARQ data, and
-    /// ACK streams all get drawn on most links.
-    struct Chatter {
-        rounds: u32,
-        received: Vec<(u32, u16)>, // (src, attempt) of every copy seen
-    }
-
-    impl Protocol for Chatter {
-        fn on_init(&mut self, ctx: &mut Ctx<'_>) {
-            ctx.set_timer(SimDuration::from_millis(100), TimerId(0));
-        }
-        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: TimerId) {
-            if self.rounds == 0 {
-                return;
-            }
-            self.rounds -= 1;
-            ctx.send_broadcast(Arc::new(()), 20);
-            if ctx.node_id() != NodeId(0) {
-                let next = ctx.neighbors().first().copied().unwrap_or(NodeId(0));
-                ctx.send_unicast(next, Arc::new(()), 40);
-            }
-            ctx.set_timer(SimDuration::from_millis(100), TimerId(0));
-        }
-        fn on_frame(&mut self, _ctx: &mut Ctx<'_>, frame: &Frame) {
-            self.received.push((frame.src.0, frame.attempt));
-        }
-    }
-
-    #[test]
-    fn lazy_rng_streams_match_prewarmed_run() {
-        // Replay identity for the lazy per-link RNG init: materializing
-        // every stream up front (the old eager behavior) and creating
-        // them on first draw must produce byte-identical runs, because
-        // each stream is seeded independently per (kind, src, dst).
-        let run = |prewarm: bool| {
-            let hub = RngHub::new(23);
-            let topo = Arc::new(Topology::generate(
-                Placement::Grid {
-                    side: 4,
-                    spacing: 8.0,
-                },
-                &RadioModel::default(),
-                &hub,
-            ));
-            let models: Vec<LossModel> = topo
-                .links()
-                .iter()
-                .map(|_| LossModel::Bernoulli { prr: 0.6 })
-                .collect();
-            let protocols = (0..topo.node_count())
-                .map(|_| Chatter {
-                    rounds: 50,
-                    received: Vec::new(),
-                })
-                .collect();
-            let mut e = Engine::new(topo, &models, MacConfig::default(), hub, protocols);
-            if prewarm {
-                e.prewarm_rng_streams();
-            }
-            e.start();
-            e.run_for(SimDuration::from_secs(60));
-            let prr: Vec<Option<f64>> = e
-                .trace()
-                .links()
-                .iter()
-                .map(|l| l.empirical_prr())
-                .collect();
-            let received: Vec<Vec<(u32, u16)>> = (0..e.topology().node_count())
-                .map(|i| e.protocol(NodeId::from_index(i)).received.clone())
-                .collect();
-            (
-                received,
-                e.trace().bytes_on_air,
-                e.trace().unicast_acked,
-                e.trace().broadcast_rx,
-                prr,
-            )
-        };
-        let lazy = run(false);
-        let prewarmed = run(true);
-        assert_eq!(lazy, prewarmed);
-        assert!(lazy.2 > 0, "no unicast traffic exercised");
-        assert!(lazy.3 > 0, "no broadcast traffic exercised");
-    }
-
-    /// Protocol that turns its radio off at a scheduled time.
-    struct Sleeper {
-        off_at: Option<SimDuration>,
-        to_send: u32,
-        period: SimDuration,
-        received: u32,
-        acked: u32,
-        failed: u32,
-    }
-
-    impl Protocol for Sleeper {
-        fn on_init(&mut self, ctx: &mut Ctx<'_>) {
-            if let Some(d) = self.off_at {
-                ctx.set_timer(d, TimerId(9));
-            }
-            if ctx.node_id() == NodeId(1) && self.to_send > 0 {
-                ctx.set_timer(self.period, TimerId(0));
-            }
-        }
-        fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerId) {
-            if timer == TimerId(9) {
-                ctx.set_radio(false);
-                return;
-            }
-            if self.to_send > 0 {
-                self.to_send -= 1;
-                ctx.send_unicast(NodeId(0), Arc::new(()), 40);
-                ctx.set_timer(self.period, TimerId(0));
-            }
-        }
-        fn on_frame(&mut self, _ctx: &mut Ctx<'_>, _frame: &Frame) {
-            self.received += 1;
-        }
-        fn on_send_done(&mut self, _ctx: &mut Ctx<'_>, done: &SendDone) {
-            if done.acked {
-                self.acked += 1;
-            } else {
-                self.failed += 1;
-            }
-        }
-    }
-
-    #[test]
-    fn radio_off_receiver_answers_nothing() {
-        let hub = RngHub::new(77);
-        let topo = Arc::new(Topology::generate(
-            Placement::Line { n: 2, spacing: 5.0 },
-            &RadioModel::default(),
-            &hub,
-        ));
-        let models: Vec<LossModel> = topo
-            .links()
-            .iter()
-            .map(|_| LossModel::Bernoulli { prr: 1.0 })
-            .collect();
-        // Node 0 (receiver) powers down after 5 s; node 1 sends for 60 s.
-        let protos = vec![
-            Sleeper {
-                off_at: Some(SimDuration::from_secs(5)),
-                to_send: 0,
-                period: SimDuration::from_millis(500),
-                received: 0,
-                acked: 0,
-                failed: 0,
-            },
-            Sleeper {
-                off_at: None,
-                to_send: 60,
-                period: SimDuration::from_millis(500),
-                received: 0,
-                acked: 0,
-                failed: 0,
-            },
-        ];
-        let mut e = Engine::new(topo, &models, MacConfig::default(), hub, protos);
-        e.start();
-        e.run_for(SimDuration::from_secs(60));
-        assert!(!e.radio_on(NodeId(0)));
-        let rx = e.protocol(NodeId(0));
-        let tx = e.protocol(NodeId(1));
-        // Early sends succeeded; after power-down everything fails.
-        assert!(rx.received >= 5, "received {}", rx.received);
-        assert!(tx.acked >= 5, "acked {}", tx.acked);
-        assert!(tx.failed >= 40, "failed {}", tx.failed);
-        assert_eq!(tx.acked + tx.failed, 60);
-        // Channel truth not polluted by dead-receiver attempts: the link
-        // PRR stays 1.0 on the samples actually drawn.
-        let link = e.topology().link_id(NodeId(1), NodeId(0)).unwrap();
-        assert_eq!(e.trace().links()[link].empirical_prr(), Some(1.0));
-    }
-
-    #[test]
-    fn radio_off_sender_drops_frames() {
-        let hub = RngHub::new(78);
-        let topo = Arc::new(Topology::generate(
-            Placement::Line { n: 2, spacing: 5.0 },
-            &RadioModel::default(),
-            &hub,
-        ));
-        let models: Vec<LossModel> = topo
-            .links()
-            .iter()
-            .map(|_| LossModel::Bernoulli { prr: 1.0 })
-            .collect();
-        // Sender powers down immediately, then tries to send.
-        let protos = vec![
-            Sleeper {
-                off_at: None,
-                to_send: 0,
-                period: SimDuration::from_millis(500),
-                received: 0,
-                acked: 0,
-                failed: 0,
-            },
-            Sleeper {
-                off_at: Some(SimDuration::from_millis(1)),
-                to_send: 10,
-                period: SimDuration::from_millis(500),
-                received: 0,
-                acked: 0,
-                failed: 0,
-            },
-        ];
-        let mut e = Engine::new(topo, &models, MacConfig::default(), hub, protos);
-        e.start();
-        e.run_for(SimDuration::from_secs(30));
-        let tx = e.protocol(NodeId(1));
-        assert_eq!(tx.acked, 0);
-        assert_eq!(tx.failed, 10, "all sends dropped in the driver");
-        assert_eq!(e.protocol(NodeId(0)).received, 0);
-        assert!(e.trace().queue_drops >= 10);
-    }
-
-    #[test]
-    fn run_until_advances_clock_even_when_idle() {
-        let mut e = two_node_engine(1.0, 1);
-        e.start();
-        e.run_until(SimTime::from_micros(10_000_000));
-        assert_eq!(e.now(), SimTime::from_micros(10_000_000));
-    }
-
-    #[test]
-    #[should_panic(expected = "already started")]
-    fn double_start_panics() {
-        let mut e = two_node_engine(1.0, 0);
-        e.start();
-        e.start();
-    }
-
-    /// Broadcast smoke test: one node beacons, neighbors receive.
-    struct Beaconer {
-        sent: bool,
-        got: u32,
-    }
-
-    impl Protocol for Beaconer {
-        fn on_init(&mut self, ctx: &mut Ctx<'_>) {
-            if ctx.node_id() == NodeId(0) {
-                ctx.set_timer(SimDuration::from_millis(10), TimerId(1));
-            }
-        }
-        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _t: TimerId) {
-            ctx.send_broadcast(Arc::new(()), 20);
-            self.sent = true;
-        }
-        fn on_frame(&mut self, _ctx: &mut Ctx<'_>, frame: &Frame) {
-            assert!(frame.is_broadcast);
-            assert_eq!(frame.attempt, 1);
-            self.got += 1;
-        }
-    }
-
-    #[test]
-    fn broadcast_reaches_neighbors() {
-        let hub = RngHub::new(11);
-        let topo = Arc::new(Topology::generate(
-            Placement::Grid {
-                side: 3,
-                spacing: 8.0,
-            },
-            &RadioModel::default(),
-            &hub,
-        ));
-        let models: Vec<LossModel> = topo
-            .links()
-            .iter()
-            .map(|_| LossModel::Bernoulli { prr: 1.0 })
-            .collect();
-        let n_neighbors = topo.neighbors(NodeId(0)).len();
-        let protos = (0..topo.node_count())
-            .map(|_| Beaconer {
-                sent: false,
-                got: 0,
-            })
-            .collect();
-        let mut e = Engine::new(topo, &models, MacConfig::default(), hub, protos);
-        e.start();
-        e.run_for(SimDuration::from_secs(1));
-        let total: u32 = (0..e.topology().node_count())
-            .map(|i| e.protocol(NodeId::from_index(i)).got)
-            .sum();
-        assert_eq!(total as usize, n_neighbors);
-        assert_eq!(e.trace().broadcast_tx, 1);
-        assert_eq!(e.trace().broadcast_rx, total as u64);
-    }
 }

@@ -1,9 +1,9 @@
 //! The discrete-event queue.
 //!
-//! Events fire in `(time, sequence)` order: the sequence number makes
-//! simultaneous events fire in insertion order, which keeps runs
-//! deterministic regardless of queue internals — every event has a unique
-//! key, so the pop order is a property of the keys alone.
+//! Events fire in `(time, key)` order. The caller supplies each event's
+//! key — the engine derives it from (origin node, per-origin sequence) —
+//! and keys are unique, so the pop order is a property of the keys alone:
+//! it never depends on queue internals or on *when* an event was pushed.
 //!
 //! The structure is a bucketed timing ring (a light-weight calendar
 //! queue), chosen over a binary heap because queue traffic dominates the
@@ -17,63 +17,23 @@
 //! cursor jumps straight to the overflow minimum, so sparse phases don't
 //! scan empty buckets.
 //!
-//! Two more hot-path choices: the queue stores 24-byte `(time, seq,
-//! slot)` entries and keeps the [`EventKind`] payloads in a slot slab
-//! recycled through a free list — moved entries are small copyable keys
-//! instead of ~70-byte kinds (a delivered [`Frame`] rides inline in its
-//! variant), which keeps bucket appends, sorted inserts, and the
-//! open-bucket sort cheap — and buckets, slab, and free list all retain
-//! capacity, so steady-state operation allocates nothing.
+//! Two more hot-path choices: the queue stores 24-byte `(time, key,
+//! slot)` entries and keeps the event payloads in a slot slab recycled
+//! through a free list — moved entries are small copyable keys instead of
+//! payloads (a delivered frame rides inline in its event), which keeps
+//! bucket appends, sorted inserts, and the open-bucket sort cheap — and
+//! buckets, slab, and free list all retain capacity, so steady-state
+//! operation allocates nothing.
 
-use crate::packet::{Frame, SendDone, TimerId};
 use crate::time::SimTime;
-use crate::topology::NodeId;
 
-/// What happens when an event fires.
-#[derive(Debug)]
-pub enum EventKind {
-    /// A protocol timer on `node` expires.
-    Timer {
-        /// Owning node.
-        node: NodeId,
-        /// Protocol-defined timer id.
-        timer: TimerId,
-    },
-    /// A frame copy arrives at `frame.dst`.
-    Deliver {
-        /// The delivered frame.
-        frame: Frame,
-    },
-    /// One broadcast's surviving copies arrive at `dsts`, in order, at the
-    /// same instant. Equivalent to consecutive [`EventKind::Deliver`]
-    /// events (the fan-out pushes its deliveries as one contiguous
-    /// sequence block, so no foreign event can interleave), but costs one
-    /// queue entry and one payload refcount for the whole fan-out.
-    /// `frame.dst` is a placeholder; the dispatcher rewrites it per
-    /// receiver. The `dsts` vector is pooled by the engine.
-    DeliverBatch {
-        /// Template frame (src, payload, timing); `dst` rewritten per hop.
-        frame: Frame,
-        /// Receivers whose loss draw succeeded, in delivery order.
-        dsts: Vec<NodeId>,
-    },
-    /// A unicast ARQ exchange on `node` completed (or its frame was
-    /// dropped); the MAC becomes free afterwards.
-    SendDone {
-        /// The transmitting node.
-        node: NodeId,
-        /// Outcome report.
-        done: SendDone,
-    },
-}
-
-/// Queue entry: the event's ordering key plus the slab slot of its kind.
-/// Derived `Ord` compares `(at, seq)` first; `slot` is never reached
-/// because sequence numbers are unique.
+/// Queue entry: the event's ordering key plus the slab slot of its
+/// payload. Derived `Ord` compares `(at, key)` first; `slot` is never
+/// reached because keys are unique.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Entry {
     at: SimTime,
-    seq: u64,
+    key: u64,
     slot: u32,
 }
 
@@ -111,14 +71,10 @@ fn vbucket(at: SimTime) -> u64 {
     at.as_micros() >> BUCKET_SHIFT
 }
 
-/// Time-ordered event queue with FIFO tie-breaking. See the module docs
-/// for the bucketed-ring design.
-///
-/// Generic over the event payload `K` (defaulting to the engine's
-/// [`EventKind`]) — the sharded engine reuses the same ring with its own
-/// event enum. The queue never inspects payloads; ordering lives entirely
-/// in the `(time, sequence)` keys.
-pub struct EventQueue<K = EventKind> {
+/// Time-ordered event queue with caller-keyed tie-breaking. See the
+/// module docs for the bucketed-ring design. The queue never inspects
+/// payloads `K`; ordering lives entirely in the `(time, key)` pairs.
+pub struct EventQueue<K> {
     /// Ring bucket `vb % RING_BUCKETS` holds virtual bucket `vb` while
     /// `cursor <= vb < cursor + RING_BUCKETS`. Only the open bucket (at
     /// `cursor`) is sorted; the rest are unsorted append lists.
@@ -136,7 +92,6 @@ pub struct EventQueue<K = EventKind> {
     slots: Vec<Option<K>>,
     /// Vacated slots awaiting reuse.
     free: Vec<u32>,
-    next_seq: u64,
 }
 
 impl<K> Default for EventQueue<K> {
@@ -156,33 +111,18 @@ impl<K> EventQueue<K> {
             far: Vec::new(),
             slots: Vec::new(),
             free: Vec::new(),
-            next_seq: 0,
         }
     }
 
-    /// Schedules `kind` to fire at `at`, tie-broken by insertion order.
-    pub fn push(&mut self, at: SimTime, kind: K) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.push_entry(at, seq, kind);
-    }
-
-    /// Schedules `kind` to fire at `at` with a caller-supplied ordering
-    /// key: simultaneous events fire in ascending `key` order instead of
-    /// insertion order.
+    /// Schedules `kind` to fire at `at`; simultaneous events fire in
+    /// ascending `key` order.
     ///
     /// Keys must be unique per `(at, key)` pair across the queue's
-    /// lifetime — the sharded engine derives them from (origin node,
-    /// per-origin sequence), which makes the pop order independent of
-    /// *when* an event was pushed (locally during a window, or merged in
-    /// at a shard barrier). Do not mix with [`push`](Self::push) on one
-    /// queue: plain sequence numbers and external keys share the
-    /// tie-break space.
-    pub fn push_keyed(&mut self, at: SimTime, key: u64, kind: K) {
-        self.push_entry(at, key, kind);
-    }
-
-    fn push_entry(&mut self, at: SimTime, seq: u64, kind: K) {
+    /// lifetime. The engine derives them from (origin node, per-origin
+    /// sequence), which makes the pop order independent of *when* an
+    /// event was pushed (locally during a window, or merged in at a shard
+    /// barrier).
+    pub fn push(&mut self, at: SimTime, key: u64, kind: K) {
         let slot = match self.free.pop() {
             Some(s) => {
                 self.slots[s as usize] = Some(kind);
@@ -194,8 +134,8 @@ impl<K> EventQueue<K> {
                 s
             }
         };
-        let entry = Entry { at, seq, slot };
-        // The engine never schedules into the past (`step` asserts event
+        let entry = Entry { at, key, slot };
+        // The engine never schedules into the past (dispatch asserts event
         // times are monotone), but the clamp keeps plain-`EventQueue`
         // users correct: a late event joins the open bucket and pops next.
         let vb = vbucket(at).max(self.cursor);
@@ -215,20 +155,20 @@ impl<K> EventQueue<K> {
         self.ring_len += 1;
     }
 
-    /// Removes and returns the earliest event.
-    pub fn pop(&mut self) -> Option<(SimTime, K)> {
+    /// Removes and returns the earliest event with its time and key.
+    pub fn pop(&mut self) -> Option<(SimTime, u64, K)> {
         self.pop_filtered(None)
     }
 
     /// Removes and returns the earliest event if it fires at or before
     /// `deadline`. One positioning pass instead of the peek-then-pop two —
     /// this is the engine's per-event path.
-    pub fn pop_at_or_before(&mut self, deadline: SimTime) -> Option<(SimTime, K)> {
+    pub fn pop_at_or_before(&mut self, deadline: SimTime) -> Option<(SimTime, u64, K)> {
         self.pop_filtered(Some(deadline))
     }
 
     #[inline]
-    fn pop_filtered(&mut self, deadline: Option<SimTime>) -> Option<(SimTime, K)> {
+    fn pop_filtered(&mut self, deadline: Option<SimTime>) -> Option<(SimTime, u64, K)> {
         loop {
             let b = &self.ring[(self.cursor % RING_BUCKETS) as usize];
             if let Some(&e) = b.get(self.drain) {
@@ -239,7 +179,7 @@ impl<K> EventQueue<K> {
                 self.ring_len -= 1;
                 let kind = self.slots[e.slot as usize].take().expect("slot occupied");
                 self.free.push(e.slot);
-                return Some((e.at, kind));
+                return Some((e.at, e.key, kind));
             }
             if self.ring_len == 0 && self.far.is_empty() {
                 return None;
@@ -248,12 +188,13 @@ impl<K> EventQueue<K> {
         }
     }
 
-    /// Time of the next event without removing it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    /// Time and key of the next event, without removing it.
+    pub fn peek(&mut self) -> Option<(SimTime, u64)> {
         if !self.position() {
             return None;
         }
-        Some(self.ring[(self.cursor % RING_BUCKETS) as usize][self.drain].at)
+        let e = self.ring[(self.cursor % RING_BUCKETS) as usize][self.drain];
+        Some((e.at, e.key))
     }
 
     /// Number of pending events.
@@ -303,7 +244,7 @@ impl<K> EventQueue<K> {
             self.ring[b_idx].push(top);
             self.ring_len += 1;
         }
-        // Unique (at, seq) keys: unstable sort is deterministic here.
+        // Unique (at, key) pairs: unstable sort is deterministic here.
         self.ring[b_idx].sort_unstable();
     }
 }
@@ -356,121 +297,92 @@ fn far_pop(heap: &mut Vec<Entry>) {
 mod tests {
     use super::*;
 
-    fn timer(node: u32, id: u32) -> EventKind {
-        EventKind::Timer {
-            node: NodeId(node),
-            timer: TimerId(id),
-        }
-    }
-
-    fn timer_id(kind: &EventKind) -> u32 {
-        match kind {
-            EventKind::Timer { timer, .. } => timer.0,
-            _ => panic!("not a timer"),
-        }
+    /// Pops everything, returning the payloads in pop order.
+    fn drain(q: &mut EventQueue<u32>) -> Vec<u32> {
+        std::iter::from_fn(|| q.pop()).map(|(_, _, k)| k).collect()
     }
 
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.push(SimTime::from_micros(30), timer(0, 3));
-        q.push(SimTime::from_micros(10), timer(0, 1));
-        q.push(SimTime::from_micros(20), timer(0, 2));
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop())
-            .map(|(_, k)| timer_id(&k))
-            .collect();
-        assert_eq!(order, vec![1, 2, 3]);
+        q.push(SimTime::from_micros(30), 0, 3);
+        q.push(SimTime::from_micros(10), 1, 1);
+        q.push(SimTime::from_micros(20), 2, 2);
+        assert_eq!(drain(&mut q), vec![1, 2, 3]);
     }
 
     #[test]
-    fn simultaneous_events_fifo() {
+    fn simultaneous_events_pop_in_key_order() {
         let mut q = EventQueue::new();
         let t = SimTime::from_micros(5);
-        for id in 0..50 {
-            q.push(t, timer(0, id));
+        for id in 0..50u32 {
+            q.push(t, u64::from(id), id);
         }
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop())
-            .map(|(_, k)| timer_id(&k))
-            .collect();
-        assert_eq!(order, (0..50).collect::<Vec<u32>>());
+        assert_eq!(drain(&mut q), (0..50).collect::<Vec<u32>>());
     }
 
     #[test]
     fn peek_does_not_remove() {
         let mut q = EventQueue::new();
-        q.push(SimTime::from_micros(7), timer(1, 9));
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(7)));
+        q.push(SimTime::from_micros(7), 4, 9u32);
+        assert_eq!(q.peek(), Some((SimTime::from_micros(7), 4)));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
-        q.pop().unwrap();
+        assert_eq!(q.pop(), Some((SimTime::from_micros(7), 4, 9)));
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.peek(), None);
     }
 
     #[test]
     fn scattered_times_pop_fully_sorted() {
         // Hash-scattered times with duplicates: pops must come out sorted
-        // by time and FIFO within a time, across slot recycling.
+        // by time and by key within a time, across slot recycling.
         let mut q = EventQueue::new();
-        let mut popped: Vec<(u64, u32)> = Vec::new();
-        for round in 0..4u32 {
+        let mut popped: Vec<(u64, u64)> = Vec::new();
+        let mut key = 0u64;
+        for _round in 0..4 {
             for i in 0..500u64 {
                 let t = (i ^ 0x5DEECE66D).wrapping_mul(25214903917) % 97;
-                q.push(SimTime::from_micros(t), timer(0, round * 500 + i as u32));
+                q.push(SimTime::from_micros(t), key, ());
+                key += 1;
             }
             // Drain half between rounds so free-list reuse is exercised.
             for _ in 0..250 {
-                let (t, k) = q.pop().unwrap();
-                popped.push((t.as_micros(), timer_id(&k)));
+                let (t, k, ()) = q.pop().unwrap();
+                popped.push((t.as_micros(), k));
             }
         }
-        while let Some((t, k)) = q.pop() {
-            popped.push((t.as_micros(), timer_id(&k)));
+        while let Some((t, k, ())) = q.pop() {
+            popped.push((t.as_micros(), k));
         }
         assert_eq!(popped.len(), 2000);
-        // Within each drain, times are non-decreasing.
+        // The final drain is sorted by (time, key).
         for w in popped[1000..].windows(2) {
-            assert!(w[0].0 <= w[1].0, "final drain out of order: {w:?}");
-        }
-        // FIFO per timestamp in the final drain: ids at equal times ascend
-        // when they came from the same push round.
-        let all: Vec<(u64, u32)> = popped[1000..].to_vec();
-        for w in all.windows(2) {
-            if w[0].0 == w[1].0 && w[0].1 / 500 == w[1].1 / 500 {
-                assert!(w[0].1 < w[1].1, "FIFO violated: {w:?}");
-            }
+            assert!(w[0] < w[1], "final drain out of order: {w:?}");
         }
     }
 
     #[test]
     fn keyed_pushes_order_by_key_not_insertion() {
         // Same timestamp, keys pushed out of order: pop order follows the
-        // keys — the property the sharded engine's barrier merge relies on.
-        let mut q: EventQueue = EventQueue::new();
+        // keys — the property the engine's barrier merge relies on.
+        let mut q = EventQueue::new();
         let t = SimTime::from_micros(100);
         for (key, id) in [(30u64, 3u32), (10, 1), (20, 2)] {
-            q.push_keyed(t, key, timer(0, id));
+            q.push(t, key, id);
         }
-        q.push_keyed(SimTime::from_micros(50), 99, timer(0, 0));
-        let order: Vec<u32> = std::iter::from_fn(|| q.pop())
-            .map(|(_, k)| timer_id(&k))
-            .collect();
-        assert_eq!(order, vec![0, 1, 2, 3]);
+        q.push(SimTime::from_micros(50), 99, 0);
+        assert_eq!(drain(&mut q), vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn interleaved_push_pop_stays_ordered() {
         let mut q = EventQueue::new();
-        q.push(SimTime::from_micros(10), timer(0, 10));
-        q.push(SimTime::from_micros(5), timer(0, 5));
-        let (t, k) = q.pop().unwrap();
-        assert_eq!(t.as_micros(), 5);
-        assert_eq!(timer_id(&k), 5);
-        q.push(SimTime::from_micros(7), timer(0, 7));
-        q.push(SimTime::from_micros(20), timer(0, 20));
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop())
-            .map(|(t, _)| t.as_micros())
-            .collect();
-        assert_eq!(order, vec![7, 10, 20]);
+        q.push(SimTime::from_micros(10), 0, 10u32);
+        q.push(SimTime::from_micros(5), 1, 5);
+        assert_eq!(q.pop(), Some((SimTime::from_micros(5), 1, 5)));
+        q.push(SimTime::from_micros(7), 2, 7);
+        q.push(SimTime::from_micros(20), 3, 20);
+        assert_eq!(drain(&mut q), vec![7, 10, 20]);
     }
 }

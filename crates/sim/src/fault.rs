@@ -183,8 +183,8 @@ pub struct FaultInjection {
 /// Shared via `Arc` across protocol instances. Frame corruption draws
 /// from a *per-receiver-node* stream (lazily seeded from the hub with the
 /// node id as the stream index): each node's frame-receive order is
-/// deterministic and shard-invariant on the sharded engine — its Deliver
-/// events pop in `(time, key)` order inside its owning shard — so keying
+/// deterministic and shard-invariant — its deliveries pop in
+/// `(time, key)` order inside its owning shard — so keying
 /// draws by receiver keeps faulted runs byte-identical at every shard and
 /// thread count. A single delivery-order stream would not survive shards
 /// interleaving their windows.
@@ -253,7 +253,7 @@ impl FaultPlan {
     /// Call this once per received frame, in the receiver's frame-arrival
     /// order — each receiver's draw sequence is part of the run's
     /// deterministic replay, and per-receiver ordering is exactly what the
-    /// sharded engine guarantees.
+    /// engine guarantees at every shard count.
     pub fn corrupt_frame(
         &self,
         receiver: u32,

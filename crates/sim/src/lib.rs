@@ -38,7 +38,6 @@
 
 pub mod chrome;
 pub mod config;
-pub mod driver;
 pub mod energy;
 pub mod engine;
 pub mod event;
@@ -59,7 +58,6 @@ pub mod traffic;
 
 pub use chrome::ChromeTracer;
 pub use config::{LinkDynamics, SimConfig};
-pub use driver::SimDriver;
 pub use energy::{EnergyModel, EnergyReport};
 pub use engine::{Ctx, Engine, Protocol};
 pub use fault::{
@@ -76,7 +74,6 @@ pub use packet::{Frame, Payload, SendDone, SendToken, TimerId};
 pub use profile::{ProfileReport, Profiler, Subsystem};
 pub use radio::RadioModel;
 pub use rng::{RngHub, StreamKind};
-pub use shard::ShardedEngine;
 pub use time::{SimDuration, SimTime};
 pub use topology::{NodeId, Placement, Position, Topology, TopologyError};
 pub use trace::{LinkTruth, Trace};

@@ -150,11 +150,10 @@ impl Profiler {
     }
 
     /// Drains every recorded sample into `target`, leaving this profiler
-    /// empty. Used by the sharded engine: each worker thread records into
-    /// its own shard-local profiler (no cross-thread cache contention on
-    /// the hot atomics) and the coordinator drains them all into the
-    /// run-level profiler at window boundaries, when workers are
-    /// quiescent behind the exchange barrier.
+    /// empty. Used by the engine: each worker thread records into its own
+    /// shard-local profiler (no cross-thread cache contention on the hot
+    /// atomics) and the coordinator drains them all into the run-level
+    /// profiler when a run call returns and the workers are quiescent.
     pub fn drain_into(&self, target: &Profiler) {
         for sub in Subsystem::ALL {
             let s = &self.stats[sub as usize];

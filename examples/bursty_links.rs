@@ -25,8 +25,9 @@ fn run(dynamics: LinkDynamics, label: &str) -> (f64, f64, usize) {
     engine.run_for(SimDuration::from_secs(1800));
 
     let mut truth = HashMap::new();
+    let trace = engine.trace();
     for (i, l) in engine.topology().links().iter().enumerate() {
-        let t = engine.trace().links()[i];
+        let t = trace.links()[i];
         if t.data_tx >= 30 {
             if let Some(loss) = t.empirical_loss() {
                 truth.insert((l.src.0, l.dst.0), loss);

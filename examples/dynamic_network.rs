@@ -80,8 +80,9 @@ fn main() {
     // Ground truth: empirical per-transmission loss on links that carried
     // enough data traffic.
     let mut truth = HashMap::new();
+    let trace = engine.trace();
     for (i, l) in engine.topology().links().iter().enumerate() {
-        let t = engine.trace().links()[i];
+        let t = trace.links()[i];
         if t.data_tx >= 30 {
             if let Some(loss) = t.empirical_loss() {
                 truth.insert((l.src.0, l.dst.0), loss);

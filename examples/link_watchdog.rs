@@ -55,6 +55,7 @@ fn main() {
         if alarms.is_empty() {
             println!("all quiet");
         } else {
+            let trace = engine.trace();
             let summary: Vec<String> = alarms
                 .iter()
                 .take(4)
@@ -63,7 +64,7 @@ fn main() {
                     let truth = engine
                         .topology()
                         .link_id(NodeId(a.link.0), NodeId(a.link.1))
-                        .and_then(|id| engine.trace().links()[id].empirical_loss())
+                        .and_then(|id| trace.links()[id].empirical_loss())
                         .unwrap_or(f64::NAN);
                     format!(
                         "n{}->n{} loss {:.2} ({:.1}σ, true-avg {:.2})",

@@ -48,12 +48,13 @@ fn main() {
 
     let r = sim.mac.max_attempts;
     let mut rows = 0;
+    let trace = engine.trace();
     for ((src, dst), est) in sink.infer.in_band.estimates(r, 30) {
         let (s, d) = (NodeId(src), NodeId(dst));
         let truth = engine
             .topology()
             .link_id(s, d)
-            .and_then(|id| engine.trace().links()[id].empirical_loss());
+            .and_then(|id| trace.links()[id].empirical_loss());
         if let Some(truth) = truth {
             println!(
                 "{:>10} {:>12.4} {:>12.4} {:>10.4} {:>9}",

@@ -39,8 +39,9 @@ fn estimates_converge_to_empirical_truth() {
     engine.run_for(SimDuration::from_secs(1500));
 
     let mut truth = HashMap::new();
+    let trace = engine.trace();
     for (i, l) in engine.topology().links().iter().enumerate() {
-        let t = engine.trace().links()[i];
+        let t = trace.links()[i];
         if t.data_tx >= 100 {
             truth.insert((l.src.0, l.dst.0), t.empirical_loss().unwrap());
         }
@@ -144,8 +145,9 @@ fn aggregation_reduces_overhead_without_wrecking_accuracy() {
         engine.start();
         engine.run_for(SimDuration::from_secs(900));
         let mut truth = HashMap::new();
+        let trace = engine.trace();
         for (i, l) in engine.topology().links().iter().enumerate() {
-            let t = engine.trace().links()[i];
+            let t = trace.links()[i];
             if t.data_tx >= 50 {
                 truth.insert((l.src.0, l.dst.0), t.empirical_loss().unwrap());
             }

@@ -57,7 +57,7 @@ proptest! {
         let protos = (0..topo.node_count())
             .map(|_| RoutingOnlyNode::new(RouterConfig::default()))
             .collect();
-        let mut e = Engine::new(Arc::clone(&topo), &models, cfg.mac, cfg.hub(), protos);
+        let mut e = Engine::new(Arc::clone(&topo), &models, cfg.mac, cfg.hub(), protos, 1);
         e.start();
         e.run_for(SimDuration::from_secs(90));
 
@@ -153,14 +153,15 @@ proptest! {
             let protos = (0..topo.node_count())
                 .map(|_| RoutingOnlyNode::new(RouterConfig::default()))
                 .collect();
-            let mut e = Engine::new(topo, &models, cfg.mac, cfg.hub(), protos);
+            let mut e = Engine::new(topo, &models, cfg.mac, cfg.hub(), protos, 1);
             e.start();
             e.run_for(SimDuration::from_secs(60));
+            let t = e.trace();
             (
-                e.trace().bytes_on_air,
-                e.trace().broadcast_tx,
-                e.trace().broadcast_rx,
-                e.trace().links().to_vec(),
+                t.bytes_on_air,
+                t.broadcast_tx,
+                t.broadcast_rx,
+                t.links().to_vec(),
             )
         };
         prop_assert_eq!(run(), run());
