@@ -92,7 +92,7 @@ pub use infer::{
 pub use metrics::{score, AccuracyReport};
 pub use model_mgr::{ModelManager, ModelSet, ModelUpdateConfig};
 pub use protocol::{
-    build_simulation, build_simulation_with_faults, DophyConfig, DophyNode, SinkState,
+    build_sharded_simulation_with_faults, build_simulation, DophyConfig, DophyNode, SinkState,
 };
 pub use symbols::SymbolSpaces;
 pub use telemetry::sample_metrics;
