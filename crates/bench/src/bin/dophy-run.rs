@@ -354,13 +354,14 @@ fn run(cli: Cli) -> Result<(), String> {
         eprintln!("warning: could not write target/BENCH_telemetry.json: {e}");
     }
 
-    // `--estimator` picks which backend's snapshot is reported; all
-    // backends ran inside the (cached) simulation, so switching backends
-    // never re-runs or invalidates anything.
+    // `--estimator` picks which backend's snapshot is reported; every
+    // backend ingested the (cached) simulation's evidence and an
+    // end-to-end one is solved when read, so switching backends never
+    // re-runs or invalidates anything.
     let selected = match cli.estimator {
         EstimatorKind::InBand => &out.dophy,
-        EstimatorKind::Minc => &out.minc,
-        EstimatorKind::SparseL1 => &out.sparse_l1,
+        EstimatorKind::Minc => out.minc(),
+        EstimatorKind::SparseL1 => out.sparse_l1(),
     };
     let mut links: Vec<LinkRow> = selected
         .iter()
@@ -384,7 +385,7 @@ fn run(cli: Cli) -> Result<(), String> {
         model_refreshes: out.refreshes,
         parent_changes_per_node_hour: out.churn.changes_per_node_hour,
         dophy_mae: out.score_scheme(&out.dophy).mae,
-        traditional_em_mae: out.score_scheme(&out.em).mae,
+        traditional_em_mae: out.score_scheme(out.em()).mae,
         estimator: cli.estimator.to_string(),
         estimator_mae: out.score_scheme(selected).mae,
         faults: out.faults,

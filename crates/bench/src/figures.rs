@@ -382,11 +382,11 @@ pub fn fig7_accuracy_vs_dynamics(quick: bool) -> Plan {
         ));
         fig.push_series(Series::new(
             "traditional-em",
-            collect(&|o| o.score_scheme(&o.em).mae),
+            collect(&|o| o.score_scheme(o.em()).mae),
         ));
         fig.push_series(Series::new(
             "traditional-logls",
-            collect(&|o| o.score_scheme(&o.ls).mae),
+            collect(&|o| o.score_scheme(o.ls()).mae),
         ));
         fig.push_series(Series::new(
             "churn/node/hour",
@@ -446,7 +446,7 @@ pub fn fig8_accuracy_vs_size(quick: bool) -> Plan {
         ));
         fig.push_series(Series::new(
             "traditional-em",
-            collect(&|o| o.score_scheme(&o.em).mae),
+            collect(&|o| o.score_scheme(o.em()).mae),
         ));
         fig.push_series(Series::new(
             "stream-bytes/pkt",
@@ -498,8 +498,8 @@ pub fn fig9_error_cdf(quick: bool) -> Plan {
             };
             fig.push_series(Series::new("dophy-mle", at_quantiles(&out.dophy)));
             fig.push_series(Series::new("dophy-naive", at_quantiles(&out.naive)));
-            fig.push_series(Series::new("traditional-em", at_quantiles(&out.em)));
-            fig.push_series(Series::new("traditional-logls", at_quantiles(&out.ls)));
+            fig.push_series(Series::new("traditional-em", at_quantiles(out.em())));
+            fig.push_series(Series::new("traditional-logls", at_quantiles(out.ls())));
             fig.note(format!(
                 "links scored: {}",
                 out.score_scheme(&out.dophy).scored_links
@@ -532,8 +532,8 @@ pub fn tab1_summary(quick: bool) -> Plan {
             let schemes: Vec<(&str, &LossMap)> = vec![
                 ("dophy-mle", &out.dophy),
                 ("dophy-naive", &out.naive),
-                ("traditional-em", &out.em),
-                ("traditional-logls", &out.ls),
+                ("traditional-em", out.em()),
+                ("traditional-logls", out.ls()),
             ];
             for (name, est) in schemes {
                 let rep = out.score_scheme(est);
@@ -877,7 +877,7 @@ pub fn ablation_burst(quick: bool) -> Plan {
         ));
         fig.push_series(Series::new(
             "traditional-em",
-            collect(&|o| o.score_scheme(&o.em).mae),
+            collect(&|o| o.score_scheme(o.em()).mae),
         ));
         fig.push_series(Series::new(
             "delivery-ratio",
@@ -1074,7 +1074,7 @@ pub fn fig11_topology(quick: bool) -> Plan {
         ));
         fig.push_series(Series::new(
             "traditional-em",
-            collect(&|o| o.score_scheme(&o.em).mae),
+            collect(&|o| o.score_scheme(o.em()).mae),
         ));
         fig.push_series(Series::new(
             "stream-bytes/pkt",
@@ -1138,11 +1138,11 @@ pub fn tab3_seeds(quick: bool) -> Plan {
             ),
             (
                 "traditional-em",
-                Box::new(|o: &RunOutput| o.score_scheme(&o.em).mae),
+                Box::new(|o: &RunOutput| o.score_scheme(o.em()).mae),
             ),
             (
                 "traditional-logls",
-                Box::new(|o: &RunOutput| o.score_scheme(&o.ls).mae),
+                Box::new(|o: &RunOutput| o.score_scheme(o.ls()).mae),
             ),
         ];
         for (name, sel) in &schemes {
@@ -1158,7 +1158,7 @@ pub fn tab3_seeds(quick: bool) -> Plan {
         // Invariant across all seeds: Dophy wins on every one.
         let always_wins = outs
             .iter()
-            .all(|o| o.score_scheme(&o.dophy).mae < o.score_scheme(&o.em).mae);
+            .all(|o| o.score_scheme(&o.dophy).mae < o.score_scheme(o.em()).mae);
         fig.note(format!(
             "dophy beats traditional on every seed: {always_wins}"
         ));
@@ -1214,7 +1214,7 @@ pub fn fig12_node_churn(quick: bool) -> Plan {
         ));
         fig.push_series(Series::new(
             "traditional-em",
-            collect(&|o| o.score_scheme(&o.em).mae),
+            collect(&|o| o.score_scheme(o.em()).mae),
         ));
         fig.push_series(Series::new(
             "delivery-ratio",
@@ -1721,15 +1721,15 @@ pub fn fig15_bakeoff(quick: bool) -> Plan {
         ));
         fig.push_series(Series::new(
             "minc",
-            collect(&|o| o.score_scheme(&o.minc).mae),
+            collect(&|o| o.score_scheme(o.minc()).mae),
         ));
         fig.push_series(Series::new(
             "sparse-l1",
-            collect(&|o| o.score_scheme(&o.sparse_l1).mae),
+            collect(&|o| o.score_scheme(o.sparse_l1()).mae),
         ));
         fig.push_series(Series::new(
             "em-baseline",
-            collect(&|o| o.score_scheme(&o.em).mae),
+            collect(&|o| o.score_scheme(o.em()).mae),
         ));
         fig.note(
             "measured outcome: the in-band backend dominates at every budget — each \

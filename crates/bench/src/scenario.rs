@@ -1,19 +1,30 @@
 //! Scenario runner: executes a full Dophy simulation and extracts
-//! everything the figures need — estimates (Dophy MLE, naive, traditional
-//! EM/log-LS), ground truth, overhead, churn, and periodic checkpoints.
+//! everything the figures need — estimates (Dophy MLE, naive, Bayes, and
+//! the end-to-end MINC, sparse-L1 and traditional EM/log-LS), ground
+//! truth, overhead, churn, and periodic checkpoints.
 //!
 //! The traditional-tomography baseline is driven exactly the way such
 //! systems are deployed: the run is divided into attribution windows; at
 //! each window start the current routing tree is snapshotted (the periodic
 //! topology report a sink would collect), and the window's per-origin
 //! sent/delivered counts are attributed to the snapshot path. Under dynamic
-//! routing this attribution is exactly what goes stale.
+//! routing this attribution is exactly what goes stale. Each window tally
+//! reaches the sink's inference fan-out once, as an
+//! [`Evidence::PathOutcome`], which feeds every end-to-end backend.
+//!
+//! The in-band estimates are extracted when the run ends. The four
+//! end-to-end maps are not: their solvers cost far more than the in-band
+//! readout and many readers never look at them, so [`RunOutput`] keeps the
+//! backends' accumulated state and solves each map on its first read
+//! ([`RunOutput::em`], [`RunOutput::ls`], [`RunOutput::minc`],
+//! [`RunOutput::sparse_l1`]). A solve is a pure function of that state, so
+//! every value is the one an eager solve would give.
 
 use crate::telemetry::{record_run, ProgressMeter, RunTelemetry};
-use dophy::baseline::{
-    survival_to_transmission_loss, PathMeasurement, TraditionalConfig, TraditionalTomography,
+use dophy::baseline::{survival_to_transmission_loss, TraditionalConfig, TraditionalTomography};
+use dophy::infer::{
+    Estimator, Evidence, EvidenceLog, MincEstimator, SnapshotQuery, SparseConfig, SparseL1Estimator,
 };
-use dophy::infer::{Estimator, Evidence, EvidenceLog, SnapshotQuery};
 use dophy::metrics::{score, AccuracyReport};
 use dophy::protocol::{
     build_sharded_simulation_with_faults, DecodeStats, DophyConfig, DophyNode, OverheadStats,
@@ -28,7 +39,7 @@ use dophy_sim::{
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Directed link key.
@@ -178,6 +189,11 @@ pub struct Instruments {
 }
 
 /// Everything a finished run yields.
+///
+/// The in-band estimates (`dophy`, `naive`, `bayes`) are fields. The four
+/// end-to-end estimate maps are methods that solve on first read: the
+/// first call solves from the backends' state, and every later call, from
+/// any thread or any clone made after it, returns the same map.
 #[derive(Debug, Clone)]
 pub struct RunOutput {
     /// Ground truth per-transmission loss (links with enough traffic).
@@ -188,16 +204,8 @@ pub struct RunOutput {
     pub naive: HashMap<LinkKey, f64>,
     /// Conjugate Bayesian loss estimates from the same observations.
     pub bayes: HashMap<LinkKey, f64>,
-    /// MINC-dual backend estimates (end-to-end evidence; see
-    /// `dophy::infer::minc`).
-    pub minc: HashMap<LinkKey, f64>,
-    /// Sparse-L1 backend estimates (end-to-end evidence; see
-    /// `dophy::infer::sparse`).
-    pub sparse_l1: HashMap<LinkKey, f64>,
-    /// Traditional EM estimates (converted to per-transmission loss).
-    pub em: HashMap<LinkKey, f64>,
-    /// Traditional log-LS estimates (converted).
-    pub ls: HashMap<LinkKey, f64>,
+    /// The end-to-end backends' state, solved on demand.
+    end_to_end: EndToEnd,
     /// Decode statistics.
     pub decode: DecodeStats,
     /// Overhead statistics.
@@ -236,6 +244,61 @@ impl RunOutput {
     pub fn score_scheme(&self, estimates: &HashMap<LinkKey, f64>) -> AccuracyReport {
         score(estimates, &self.truth)
     }
+
+    /// MINC-dual backend estimates (end-to-end evidence; see
+    /// `dophy::infer::minc`), solved on first read.
+    pub fn minc(&self) -> &HashMap<LinkKey, f64> {
+        let e = &self.end_to_end;
+        e.minc_est
+            .get_or_init(|| estimates_to_loss(e.minc.snapshot(&e.query)))
+    }
+
+    /// Sparse-L1 backend estimates (end-to-end evidence; see
+    /// `dophy::infer::sparse`), solved on first read.
+    pub fn sparse_l1(&self) -> &HashMap<LinkKey, f64> {
+        let e = &self.end_to_end;
+        e.sparse_est
+            .get_or_init(|| estimates_to_loss(e.sparse.snapshot(&e.query)))
+    }
+
+    /// Traditional EM estimates (converted to per-transmission loss),
+    /// solved on first read.
+    pub fn em(&self) -> &HashMap<LinkKey, f64> {
+        let e = &self.end_to_end;
+        e.em.get_or_init(|| {
+            convert_survival(
+                e.traditional.estimate_em(&TraditionalConfig::default()),
+                e.query.r,
+            )
+        })
+    }
+
+    /// Traditional log-LS estimates (converted), solved on first read.
+    pub fn ls(&self) -> &HashMap<LinkKey, f64> {
+        let e = &self.end_to_end;
+        e.ls.get_or_init(|| {
+            convert_survival(
+                e.traditional.estimate_logls(&TraditionalConfig::default()),
+                e.query.r,
+            )
+        })
+    }
+}
+
+/// The end-to-end backends' accumulated state, moved out of the sink when
+/// the run ends, with one solve-once cell per estimate map.
+#[derive(Debug, Clone)]
+struct EndToEnd {
+    traditional: TraditionalTomography,
+    minc: MincEstimator,
+    sparse: SparseL1Estimator,
+    /// The end-of-run query the MINC and sparse-L1 snapshots answer; its
+    /// `r` also converts EM and log-LS survival to loss.
+    query: SnapshotQuery,
+    em: OnceLock<HashMap<LinkKey, f64>>,
+    ls: OnceLock<HashMap<LinkKey, f64>>,
+    minc_est: OnceLock<HashMap<LinkKey, f64>>,
+    sparse_est: OnceLock<HashMap<LinkKey, f64>>,
 }
 
 /// Follows parents from `origin` to the sink; `None` on loops or missing
@@ -354,7 +417,6 @@ pub fn run_scenario_with(spec: &RunSpec, inst: Instruments) -> RunOutput {
 
     let r = spec.sim.mac.max_attempts;
     let n = engine.topology().node_count();
-    let mut tomo = TraditionalTomography::new();
     let tomo_cfg = TraditionalConfig::default();
     let mut prev_sent = vec![0u64; n];
     let mut prev_delivered = vec![0u64; n];
@@ -367,7 +429,7 @@ pub fn run_scenario_with(spec: &RunSpec, inst: Instruments) -> RunOutput {
     while elapsed < spec.duration {
         // Snapshot the tree BEFORE the window: this is the attribution the
         // baseline will use for the window's packets.
-        let paths: SnapshotPaths = (0..n)
+        let mut paths: SnapshotPaths = (0..n)
             .map(|i| current_path(&engine, NodeId::from_index(i)))
             .collect();
         let step = spec.window.min(spec.duration - elapsed);
@@ -406,24 +468,20 @@ pub fn run_scenario_with(spec: &RunSpec, inst: Instruments) -> RunOutput {
                     carry[origin] += delivered;
                     continue;
                 }
-                if let Some(path) = &paths[origin] {
+                if let Some(path) = paths[origin].take() {
                     if !path.is_empty() {
                         let (used, rest) = attribute_window(sent, delivered, carry[origin]);
                         carry[origin] = rest;
-                        tomo.add(PathMeasurement {
-                            path: path.clone(),
-                            sent,
-                            delivered: used,
-                        });
-                        // The same carry-corrected window tally, as typed
-                        // evidence for the end-to-end inference backends
-                        // (MINC, sparse-L1). The in-band backends ignore
-                        // path outcomes, so feeding the stack here cannot
-                        // perturb any in-band estimate.
+                        // The carry-corrected window tally, as typed
+                        // evidence for the end-to-end backends (MINC,
+                        // sparse-L1 and the EM/log-LS collector). The
+                        // in-band backends ignore path outcomes, so feeding
+                        // the stack here cannot perturb any in-band
+                        // estimate.
                         s.infer.observe(&Evidence::PathOutcome {
                             at: SimTime::ZERO + elapsed,
                             origin: origin as u32,
-                            path: path.clone(),
+                            path,
                             sent,
                             delivered: used,
                         });
@@ -439,9 +497,9 @@ pub fn run_scenario_with(spec: &RunSpec, inst: Instruments) -> RunOutput {
             let naive_est =
                 estimates_to_loss(s.infer.in_band.naive_estimates(spec.min_est_samples));
             let delivered: u64 = s.delivered_per_origin.iter().sum();
+            let em = convert_survival(s.infer.traditional.estimate_em(&tomo_cfg), r);
+            let ls = convert_survival(s.infer.traditional.estimate_logls(&tomo_cfg), r);
             drop(s);
-            let em = convert_survival(tomo.estimate_em(&tomo_cfg), r);
-            let ls = convert_survival(tomo.estimate_logls(&tomo_cfg), r);
             let sc = |m: &HashMap<LinkKey, f64>| score(m, &truth);
             let dophy_rep = sc(&dophy_est);
             checkpoints.push(Checkpoint {
@@ -488,18 +546,25 @@ pub fn run_scenario_with(spec: &RunSpec, inst: Instruments) -> RunOutput {
     let dophy_est = estimates_to_loss(s.infer.in_band.estimates(r, spec.min_est_samples));
     let naive_est = estimates_to_loss(s.infer.in_band.naive_estimates(spec.min_est_samples));
     let bayes_est = estimates_to_loss(s.infer.bayes.estimates(spec.min_est_samples));
-    let em = convert_survival(tomo.estimate_em(&tomo_cfg), r);
-    let ls = convert_survival(tomo.estimate_logls(&tomo_cfg), r);
-    // Bake-off backends solve at snapshot time from their accumulated
-    // evidence; extracting them here is a pure read, so every pre-existing
-    // output stays byte-identical.
-    let q = SnapshotQuery {
-        now: duration_t,
-        r,
-        min_samples: spec.min_est_samples,
+    // The end-to-end backends' evidence moves into the output unsolved;
+    // each map is solved when first read (see `RunOutput::em`).
+    let end_to_end = EndToEnd {
+        traditional: std::mem::take(&mut s.infer.traditional),
+        minc: std::mem::take(&mut s.infer.minc),
+        sparse: std::mem::replace(
+            &mut s.infer.sparse,
+            SparseL1Estimator::new(SparseConfig::default()),
+        ),
+        query: SnapshotQuery {
+            now: duration_t,
+            r,
+            min_samples: spec.min_est_samples,
+        },
+        em: OnceLock::new(),
+        ls: OnceLock::new(),
+        minc_est: OnceLock::new(),
+        sparse_est: OnceLock::new(),
     };
-    let minc_est = estimates_to_loss(s.infer.minc.snapshot(&q));
-    let sparse_est = estimates_to_loss(s.infer.sparse.snapshot(&q));
     // Move the hop log out instead of cloning it: at 10k-node scale the
     // clone alone would double the run's peak memory.
     let true_hops = std::mem::take(&mut s.true_hops);
@@ -509,10 +574,7 @@ pub fn run_scenario_with(spec: &RunSpec, inst: Instruments) -> RunOutput {
         dophy: dophy_est,
         naive: naive_est,
         bayes: bayes_est,
-        minc: minc_est,
-        sparse_l1: sparse_est,
-        em,
-        ls,
+        end_to_end,
         decode: s.decode,
         overhead: s.overhead.clone(),
         dissemination_bytes: s.manager.dissemination_bytes,
@@ -571,8 +633,8 @@ mod tests {
         assert!(out.overhead.packets > 300);
         assert!(!out.truth.is_empty());
         assert!(!out.dophy.is_empty());
-        assert!(!out.em.is_empty());
-        assert!(!out.ls.is_empty());
+        assert!(!out.em().is_empty());
+        assert!(!out.ls().is_empty());
         assert!(out.delivery_ratio > 0.9);
         assert_eq!(out.checkpoints.len(), 10);
         // Dophy accuracy should be decent on a static grid.
@@ -585,7 +647,7 @@ mod tests {
     fn dophy_beats_traditional_on_accuracy() {
         let out = run_scenario(&quick_spec());
         let d = out.score_scheme(&out.dophy).mae;
-        let em = out.score_scheme(&out.em).mae;
+        let em = out.score_scheme(out.em()).mae;
         assert!(d < em, "Dophy MAE {d} should beat traditional EM MAE {em}");
     }
 
@@ -670,11 +732,11 @@ mod tests {
             ..quick_spec()
         };
         let out = run_scenario(&spec);
-        let rep = out.score_scheme(&out.em);
+        let rep = out.score_scheme(out.em());
         assert!(rep.scored_links >= 5, "need links: {}", rep.scored_links);
         // Mean signed error: positive = loss overestimated (pessimistic).
         let bias: f64 = out
-            .em
+            .em()
             .iter()
             .filter_map(|(k, est)| out.truth.get(k).map(|t| est - t))
             .sum::<f64>()
@@ -708,19 +770,70 @@ mod tests {
         assert_eq!(clean.decode.bad_hop_count, 0);
     }
 
+    /// The end-to-end maps are solved on first read, one map at a time:
+    /// a run that never reads them never pays for their solvers.
+    #[test]
+    fn end_to_end_maps_are_solved_only_when_read() {
+        let out = run_scenario(&quick_spec());
+        let solved = |o: &RunOutput| {
+            let e = &o.end_to_end;
+            [
+                e.em.get().is_some(),
+                e.ls.get().is_some(),
+                e.minc_est.get().is_some(),
+                e.sparse_est.get().is_some(),
+            ]
+        };
+        assert_eq!(solved(&out), [false; 4], "a run must solve nothing");
+        assert!(!out.em().is_empty());
+        assert_eq!(solved(&out), [true, false, false, false]);
+        // A second read is the same map, not a second solve.
+        assert!(std::ptr::eq(out.em(), out.em()));
+    }
+
+    /// Concurrent first reads of one shared output agree on one map per
+    /// estimator, equal to a serial solve on a clone taken before any read.
+    #[test]
+    fn concurrent_first_reads_share_one_solve() {
+        let out = Arc::new(run_scenario(&quick_spec()));
+        let serial = RunOutput::clone(&out);
+        let barrier = std::sync::Barrier::new(4);
+        // Each thread reports the addresses of the four maps it read.
+        let seen: Vec<[usize; 4]> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        [out.em(), out.ls(), out.minc(), out.sparse_l1()]
+                            .map(|m| m as *const HashMap<LinkKey, f64> as usize)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert!(
+            seen.windows(2).all(|w| w[0] == w[1]),
+            "threads saw {seen:?}"
+        );
+        assert_eq!(out.em(), serial.em());
+        assert_eq!(out.ls(), serial.ls());
+        assert_eq!(out.minc(), serial.minc());
+        assert_eq!(out.sparse_l1(), serial.sparse_l1());
+        assert!(!serial.em().is_empty() && !serial.minc().is_empty());
+    }
+
     #[test]
     fn sharded_scenario_is_shard_invariant_and_complete() {
-        // The sharded engine must produce the same figures for any shard
-        // count, and those figures must pass the same sanity bar as the
-        // single-loop ones (it is a different — equally valid — sample
-        // path, so no cross-engine equality is asserted).
+        // One engine: any shard count must produce the same figures, and
+        // those figures must pass the same sanity bar as the quick-spec
+        // tests above.
         let a = run_scenario(&quick_spec().with_shards(1));
         let b = run_scenario(&quick_spec().with_shards(5));
         assert_eq!(a.decode, b.decode);
         assert_eq!(a.overhead.packets, b.overhead.packets);
         assert_eq!(a.truth, b.truth);
         assert_eq!(a.dophy, b.dophy);
-        assert_eq!(a.em, b.em);
+        assert_eq!(a.em(), b.em());
         assert_eq!(a.checkpoints.len(), b.checkpoints.len());
         assert!(a.overhead.packets > 300);
         assert!(a.delivery_ratio > 0.9);

@@ -1,9 +1,9 @@
-//! Sharded-engine integration: the multi-core engine must be a drop-in
-//! replacement at the figure level — same seed and any shard count must
-//! yield byte-identical figure JSON — and must keep delivering the full
-//! Dophy stack at the 10k-node scale it exists for.
+//! Sharding integration: the one engine must yield byte-identical figure
+//! JSON at any shard count for the same seed, and must keep delivering
+//! the full Dophy stack at the 10k-node scale that sharding exists for.
 
-use dophy::infer::{Estimator, EstimatorKind, EvidenceLog, Inference, SnapshotQuery};
+use dophy::baseline::{survival_to_transmission_loss, TraditionalConfig};
+use dophy::infer::{Estimator, EstimatorKind, Evidence, EvidenceLog, Inference, SnapshotQuery};
 use dophy::protocol::DophyConfig;
 use dophy_bench::{
     cache_key, execute_cell, run_scenario, run_scenario_with, FigureResult, Instruments, RunOutput,
@@ -11,6 +11,7 @@ use dophy_bench::{
 };
 use dophy_sim::obs::FlightRecorder;
 use dophy_sim::{LinkDynamics, MacConfig, Placement, RadioModel, SimConfig, SimDuration, SimTime};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 fn spec(seed: u64) -> RunSpec {
@@ -42,7 +43,7 @@ fn figure(out: &RunOutput) -> FigureResult {
         "link index / metric index",
         "loss / count",
     );
-    let sorted = |m: &std::collections::HashMap<(u32, u32), f64>| -> Vec<(f64, f64)> {
+    let sorted = |m: &HashMap<(u32, u32), f64>| -> Vec<(f64, f64)> {
         let mut v: Vec<_> = m.iter().map(|(&(s, d), &l)| ((s, d), l)).collect();
         v.sort_by_key(|e| e.0);
         v.into_iter()
@@ -53,9 +54,9 @@ fn figure(out: &RunOutput) -> FigureResult {
     fig.push_series(Series::new("truth", sorted(&out.truth)));
     fig.push_series(Series::new("dophy", sorted(&out.dophy)));
     fig.push_series(Series::new("naive", sorted(&out.naive)));
-    fig.push_series(Series::new("em", sorted(&out.em)));
-    fig.push_series(Series::new("minc", sorted(&out.minc)));
-    fig.push_series(Series::new("sparse-l1", sorted(&out.sparse_l1)));
+    fig.push_series(Series::new("em", sorted(out.em())));
+    fig.push_series(Series::new("minc", sorted(out.minc())));
+    fig.push_series(Series::new("sparse-l1", sorted(out.sparse_l1())));
     fig.push_series(Series::new(
         "totals",
         vec![
@@ -139,57 +140,36 @@ fn instruments_do_not_perturb_a_sharded_run() {
         .any(|(k, v)| k == "engine_events_processed" && *v > 0));
 }
 
-/// The inference layer's engine-blindness contract, in two halves.
+/// The inference layer's engine-blindness contract.
 ///
 /// 1. The serialized evidence-event stream reaching the backends is
-///    byte-identical at every shard count (the sharded engine's existing
-///    byte-identity guarantee extends through evidence derivation), and
-/// 2. for *both* engines, replaying a run's captured stream into a fresh
-///    [`Inference`] reproduces every backend's snapshot bit for bit — the
-///    backends are pure functions of the evidence stream, so they cannot
-///    observe which engine produced it.
-///
-/// Single-loop and sharded engines are deliberately *different sample
-/// paths* (established when sharding landed: `RunSpec.shards` is part of
-/// the cache identity), so cross-engine stream equality is not a thing
-/// that can be asserted; engine-blindness of the backends is the
-/// guarantee that matters, and (2) is exactly that.
+///    byte-identical at every shard count (the engine's byte-identity
+///    guarantee extends through evidence derivation).
+/// 2. At one shard and at four, replaying a run's captured stream into a
+///    fresh [`Inference`] reproduces every backend's snapshot bit for bit
+///    — the backends are pure functions of the evidence stream, so they
+///    cannot observe how the engine was split.
+/// 3. The same holds for the end-to-end backends, which only a scenario
+///    run feeds (its windows emit the path outcomes): replaying a 4-shard
+///    run's stream reproduces its MINC and sparse-L1 maps and the
+///    traditional collector's EM and log-LS solves.
 #[test]
 fn evidence_stream_is_shard_invariant_and_backends_are_engine_blind() {
-    let run = |shards: Option<u16>| {
+    let run = |shards: u16| {
         let spec = spec(17);
-        let (engine_shared, log_handle);
-        let mut single_engine = None;
-        let mut sharded_engine = None;
-        if let Some(sh) = shards {
-            let (engine, shared) =
-                dophy::protocol::build_sharded_simulation(&spec.sim, &spec.dophy, sh);
-            sharded_engine = Some(engine);
-            engine_shared = shared;
-        } else {
-            let (engine, shared) = dophy::protocol::build_simulation(&spec.sim, &spec.dophy);
-            single_engine = Some(engine);
-            engine_shared = shared;
-        }
+        let (mut engine, shared) =
+            dophy::protocol::build_sharded_simulation(&spec.sim, &spec.dophy, shards);
         let (log, handle) = EvidenceLog::new();
-        engine_shared.lock().infer.attach(Box::new(log));
-        log_handle = handle;
-        let dur = SimDuration::from_secs(420);
-        if let Some(e) = sharded_engine.as_mut() {
-            e.start();
-            e.run_for(dur);
-        }
-        if let Some(e) = single_engine.as_mut() {
-            e.start();
-            e.run_for(dur);
-        }
-        (engine_shared, log_handle, spec.dophy)
+        shared.lock().infer.attach(Box::new(log));
+        engine.start();
+        engine.run_for(SimDuration::from_secs(420));
+        (shared, handle, spec.dophy)
     };
 
     // (1) Shard invariance of the stream itself.
-    let (shared1, log1, dophy_cfg) = run(Some(1));
-    let (_shared4, log4, _) = run(Some(4));
-    let to_json = |log: &Arc<parking_lot::Mutex<Vec<dophy::infer::Evidence>>>| -> String {
+    let (shared1, log1, dophy_cfg) = run(1);
+    let (shared4, log4, _) = run(4);
+    let to_json = |log: &Arc<parking_lot::Mutex<Vec<Evidence>>>| -> String {
         serde_json::to_string(&*log.lock()).expect("evidence serializes")
     };
     assert!(
@@ -202,39 +182,94 @@ fn evidence_stream_is_shard_invariant_and_backends_are_engine_blind() {
         "evidence stream diverged between shards=1 and shards=4"
     );
 
-    // (2) Replay equality, sharded engine.
+    // (2) Replay equality at both shard counts.
+    let replay = |log: &Arc<parking_lot::Mutex<Vec<Evidence>>>| {
+        let mut fresh = Inference::new(dophy_cfg.tracking);
+        for ev in log.lock().iter() {
+            fresh.observe(ev);
+        }
+        fresh
+    };
     let q = SnapshotQuery {
         now: SimTime::ZERO + SimDuration::from_secs(420),
         r: 7,
         min_samples: 1,
     };
-    let replay_matches =
-        |shared: &Arc<parking_lot::Mutex<dophy::protocol::SinkState>>,
-         log: &Arc<parking_lot::Mutex<Vec<dophy::infer::Evidence>>>| {
-            let mut fresh = Inference::new(dophy_cfg.tracking);
-            for ev in log.lock().iter() {
-                fresh.observe(ev);
-            }
-            let live = shared.lock();
-            for kind in EstimatorKind::ALL {
-                assert_eq!(
-                    live.infer.backend(kind).snapshot(&q),
-                    fresh.backend(kind).snapshot(&q),
-                    "{kind} snapshot diverged under replay"
-                );
-            }
+    let replay_matches = |shared: &Arc<parking_lot::Mutex<dophy::protocol::SinkState>>,
+                          log: &Arc<parking_lot::Mutex<Vec<Evidence>>>| {
+        let fresh = replay(log);
+        let live = shared.lock();
+        for kind in EstimatorKind::ALL {
             assert_eq!(
-                Estimator::snapshot(&live.infer.windowed, &q),
-                Estimator::snapshot(&fresh.windowed, &q),
-                "windowed snapshot diverged under replay"
+                live.infer.backend(kind).snapshot(&q),
+                fresh.backend(kind).snapshot(&q),
+                "{kind} snapshot diverged under replay"
             );
-        };
+        }
+        assert_eq!(
+            Estimator::snapshot(&live.infer.windowed, &q),
+            Estimator::snapshot(&fresh.windowed, &q),
+            "windowed snapshot diverged under replay"
+        );
+    };
     replay_matches(&shared1, &log1);
+    replay_matches(&shared4, &log4);
 
-    // (2') Replay equality, single-loop engine — same property, other
-    // engine, proving the backends cannot tell which engine ran.
-    let (shared_single, log_single, _) = run(None);
-    replay_matches(&shared_single, &log_single);
+    // (3) The end-to-end maps of a 4-shard scenario run, against solves
+    // of its replayed stream.
+    let spec = spec(17).with_shards(4);
+    let buffer = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let out = run_scenario_with(
+        &spec,
+        Instruments {
+            evidence: Some(Arc::clone(&buffer)),
+            ..Instruments::default()
+        },
+    );
+    assert!(
+        buffer
+            .lock()
+            .iter()
+            .any(|ev| matches!(ev, Evidence::PathOutcome { .. })),
+        "scenario run emitted no path outcomes — nothing was tested"
+    );
+    let fresh = replay(&buffer);
+    let r = spec.sim.mac.max_attempts;
+    let end_q = SnapshotQuery {
+        now: SimTime::ZERO + spec.duration,
+        r,
+        min_samples: spec.min_est_samples,
+    };
+    let loss = |est: &dyn Estimator| -> HashMap<(u32, u32), f64> {
+        est.snapshot(&end_q)
+            .into_iter()
+            .map(|(k, e)| (k, e.loss))
+            .collect()
+    };
+    let survival = |sigma: HashMap<(u32, u32), f64>| -> HashMap<(u32, u32), f64> {
+        sigma
+            .into_iter()
+            .map(|(k, s)| (k, survival_to_transmission_loss(s, r)))
+            .collect()
+    };
+    let cfg = TraditionalConfig::default();
+    assert!(!out.em().is_empty(), "no EM estimates — nothing was tested");
+    assert_eq!(out.minc(), &loss(&fresh.minc), "MINC diverged under replay");
+    assert_eq!(
+        out.sparse_l1(),
+        &loss(&fresh.sparse),
+        "sparse-L1 diverged under replay"
+    );
+    assert_eq!(
+        out.em(),
+        &survival(fresh.traditional.estimate_em(&cfg)),
+        "EM diverged under replay"
+    );
+    assert_eq!(
+        out.ls(),
+        &survival(fresh.traditional.estimate_logls(&cfg)),
+        "log-LS diverged under replay"
+    );
 }
 
 /// 10k-node sharded smoke: the scale target of the sharded engine. Run

@@ -23,6 +23,7 @@
 //! did not all follow the snapshot path, and the inversion spreads blame
 //! over the wrong links.
 
+use crate::infer::Evidence;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -90,6 +91,26 @@ impl TraditionalTomography {
     pub fn add(&mut self, m: PathMeasurement) {
         if !m.path.is_empty() && m.sent > 0 {
             self.measurements.push(m);
+        }
+    }
+
+    /// Collects an [`Evidence::PathOutcome`] exactly as [`add`](Self::add)
+    /// would its `(path, sent, delivered)`; hop evidence is ignored. This
+    /// is how the sink's [`crate::infer::Inference`] fan-out feeds the
+    /// baseline.
+    pub fn observe(&mut self, ev: &Evidence) {
+        if let Evidence::PathOutcome {
+            path,
+            sent,
+            delivered,
+            ..
+        } = ev
+        {
+            self.add(PathMeasurement {
+                path: path.clone(),
+                sent: *sent,
+                delivered: *delivered,
+            });
         }
     }
 

@@ -31,6 +31,11 @@
 //! | MINC ([`MincEstimator`]) | `PathOutcome` | Cáceres et al. multicast MLE, generalized to the dynamic-parent DAG |
 //! | sparse-L1 ([`SparseL1Estimator`]) | `PathOutcome` | FISTA sparse recovery of per-link log-transmission |
 //!
+//! The same fan-out feeds the traditional baseline's collector
+//! ([`crate::baseline::TraditionalTomography`]), which keeps every
+//! `PathOutcome` as a path measurement for its EM and log-LS solvers. It
+//! is not a bake-off backend: no [`EstimatorKind`] selects it.
+//!
 //! All backends are deterministic: fixed iteration orders (`BTreeMap`
 //! state), fixed iteration counts, no RNG.
 
@@ -40,6 +45,7 @@ pub mod sparse;
 pub use minc::MincEstimator;
 pub use sparse::{SparseConfig, SparseL1Estimator};
 
+use crate::baseline::TraditionalTomography;
 use crate::bayes::{BayesNetworkEstimator, BetaPrior};
 use crate::estimator::{LossEstimate, NetworkEstimator};
 use crate::tracking::{WindowConfig, WindowedNetworkEstimator};
@@ -170,9 +176,12 @@ impl std::fmt::Display for EstimatorKind {
 /// stream. Owning construction here is what lets the protocol layer stay
 /// estimator-agnostic.
 ///
-/// All backends always run — the end-to-end ones keep tiny aggregate state
+/// All backends always ingest — the end-to-end ones (MINC, sparse-L1 and
+/// the traditional EM/log-LS collector) only accumulate window tallies
 /// and defer their solve to snapshot time, so this costs nothing on the
 /// hot path — which is how one cached run can serve the whole bake-off.
+/// The scenario runner moves the end-to-end state out when a run ends and
+/// solves each of their estimate maps only when something reads it.
 pub struct Inference {
     /// In-band truncation/censoring-corrected MLE (plus its naive
     /// method-of-moments readout).
@@ -185,6 +194,9 @@ pub struct Inference {
     pub minc: MincEstimator,
     /// Sparse-recovery backend over end-to-end outcomes.
     pub sparse: SparseL1Estimator,
+    /// The traditional end-to-end baseline's path measurements (solved by
+    /// EM or log-LS on demand; see [`crate::baseline`]).
+    pub traditional: TraditionalTomography,
     /// Attached auxiliary backends (test instrumentation, e.g.
     /// [`EvidenceLog`]); observed after the built-ins, never snapshotted
     /// by the harness.
@@ -201,6 +213,7 @@ impl Inference {
             bayes: BayesNetworkEstimator::new(BetaPrior::default()),
             minc: MincEstimator::new(),
             sparse: SparseL1Estimator::new(SparseConfig::default()),
+            traditional: TraditionalTomography::new(),
             extra: Vec::new(),
         }
     }
@@ -215,6 +228,7 @@ impl Inference {
         Estimator::observe(&mut self.bayes, ev);
         Estimator::observe(&mut self.minc, ev);
         Estimator::observe(&mut self.sparse, ev);
+        self.traditional.observe(ev);
         for e in &mut self.extra {
             e.observe(ev);
         }

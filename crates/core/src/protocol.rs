@@ -252,10 +252,12 @@ pub type TrueHops = Vec<(u32, u32, u16)>;
 pub struct SinkState {
     /// Model learning, epochs, dissemination.
     pub manager: ModelManager,
-    /// The inference stack (in-band MLE, windowed, Bayes, MINC, sparse-L1),
-    /// fed typed evidence from decoded packets. Constructed and owned by
-    /// [`crate::infer`] — the protocol layer never builds a concrete
-    /// estimator and only talks to the stack through its fan-out.
+    /// The inference stack (in-band MLE, windowed, Bayes, MINC, sparse-L1
+    /// and the traditional EM/log-LS collector), fed typed evidence from
+    /// decoded packets and from the scenario runner's window tallies.
+    /// Constructed and owned by [`crate::infer`] — the protocol layer
+    /// never builds a concrete estimator and only talks to the stack
+    /// through its fan-out.
     pub infer: crate::infer::Inference,
     /// Decode outcome counters.
     pub decode: DecodeStats,
@@ -1051,14 +1053,8 @@ pub fn build_sharded_simulation_with_faults(
     let parts = assemble_simulation(sim, dophy, faults);
     if shards > 1 {
         let window_us = sim.mac.backoff_us / 2 + sim.mac.frame_overhead_us;
-        let max_depth = parts
-            .topo
-            .hops_to_sink()
-            .into_iter()
-            .filter(|&d| d != usize::MAX)
-            .max()
-            .unwrap_or(0) as u64;
-        let per_hop_us = dophy.model_update.max_propagation_delay.as_micros() / (max_depth + 1);
+        let per_hop_us =
+            dophy.model_update.max_propagation_delay.as_micros() / (parts.max_depth + 1);
         assert!(
             per_hop_us > window_us,
             "model dissemination per-hop delay ({per_hop_us}µs) must exceed the \
@@ -1082,6 +1078,8 @@ pub fn build_sharded_simulation_with_faults(
 /// and one [`DophyNode`] per node.
 struct SimParts {
     topo: Arc<Topology>,
+    /// Largest finite hop distance to the sink.
+    max_depth: u64,
     models: Vec<LossModel>,
     hub: RngHub,
     shared: Arc<Mutex<SinkState>>,
@@ -1110,7 +1108,14 @@ fn assemble_simulation(
     );
     let n = topo.node_count();
     let plan = faults.map(|cfg| Arc::new(FaultPlan::new(*cfg, &hub)));
-    let mut manager = ModelManager::new(spaces.clone(), dophy.model_update, topo.hops_to_sink());
+    let depths = topo.hops_to_sink();
+    let max_depth = depths
+        .iter()
+        .copied()
+        .filter(|&d| d != usize::MAX)
+        .max()
+        .unwrap_or(0) as u64;
+    let mut manager = ModelManager::new(spaces.clone(), dophy.model_update, depths);
     if let Some(dissem) = faults.and_then(|f| f.dissemination) {
         manager.set_dissemination_faults(dissem);
     }
@@ -1142,6 +1147,7 @@ fn assemble_simulation(
         .collect();
     SimParts {
         topo,
+        max_depth,
         models,
         hub,
         shared,

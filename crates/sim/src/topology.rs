@@ -526,40 +526,20 @@ impl Topology {
     /// True if every node can reach the sink through usable links
     /// (direction of data flow: node → sink).
     pub fn is_collectable(&self) -> bool {
-        // BFS on reversed edges from the sink.
-        let n = self.node_count();
-        let mut reach = vec![false; n];
-        reach[NodeId::SINK.index()] = true;
-        let mut frontier = vec![NodeId::SINK];
-        // Reverse adjacency built on the fly.
-        let mut in_neighbors: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for l in &self.links {
-            in_neighbors[l.dst.index()].push(l.src);
-        }
-        while let Some(v) = frontier.pop() {
-            for &u in &in_neighbors[v.index()] {
-                if !reach[u.index()] {
-                    reach[u.index()] = true;
-                    frontier.push(u);
-                }
-            }
-        }
-        reach.iter().all(|&r| r)
+        self.hops_to_sink().iter().all(|&d| d != usize::MAX)
     }
 
     /// Minimum hop distance from each node to the sink (usize::MAX if
     /// disconnected). Used for ground-truth path-length statistics.
     pub fn hops_to_sink(&self) -> Vec<usize> {
-        let n = self.node_count();
-        let mut dist = vec![usize::MAX; n];
+        // BFS from the sink over reversed edges.
+        let (offsets, srcs) = self.in_neighbors();
+        let mut dist = vec![usize::MAX; self.node_count()];
         dist[NodeId::SINK.index()] = 0;
-        let mut in_neighbors: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for l in &self.links {
-            in_neighbors[l.dst.index()].push(l.src);
-        }
         let mut frontier = std::collections::VecDeque::from([NodeId::SINK]);
         while let Some(v) = frontier.pop_front() {
-            for &u in &in_neighbors[v.index()] {
+            let r = offsets[v.index()] as usize..offsets[v.index() + 1] as usize;
+            for &u in &srcs[r] {
                 if dist[u.index()] == usize::MAX {
                     dist[u.index()] = dist[v.index()] + 1;
                     frontier.push_back(u);
@@ -567,6 +547,31 @@ impl Topology {
             }
         }
         dist
+    }
+
+    /// Reverse adjacency as one CSR: node `v`'s in-neighbours are
+    /// `srcs[offsets[v] .. offsets[v + 1]]`, in link order. Two flat
+    /// arrays instead of one growing `Vec` per node.
+    fn in_neighbors(&self) -> (Vec<u32>, Vec<NodeId>) {
+        let n = self.node_count();
+        // Count in-degrees, then prefix-sum so `offsets[v]` ends `v`'s run.
+        let mut offsets = vec![0u32; n + 1];
+        for l in &self.links {
+            offsets[l.dst.index()] += 1;
+        }
+        for v in 1..n {
+            offsets[v] += offsets[v - 1];
+        }
+        offsets[n] = u32::try_from(self.links.len()).expect("< 2^32 links");
+        // Fill each run from its end, walking the links backwards: every
+        // run keeps link order, and `offsets[v]` ends at the run's start.
+        let mut srcs = vec![NodeId::SINK; self.links.len()];
+        for l in self.links.iter().rev() {
+            let slot = &mut offsets[l.dst.index()];
+            *slot -= 1;
+            srcs[*slot as usize] = l.src;
+        }
+        (offsets, srcs)
     }
 }
 

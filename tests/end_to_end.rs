@@ -125,7 +125,7 @@ fn dophy_beats_traditional_under_dynamics_and_not_worse_static() {
         );
         let out = dophy_bench::run_scenario(&spec);
         let d = out.score_scheme(&out.dophy).mae;
-        let em = out.score_scheme(&out.em).mae;
+        let em = out.score_scheme(out.em()).mae;
         assert!(
             d * must_win_by <= em,
             "{dynamics:?}: dophy {d} vs traditional {em} (needed {must_win_by}x)"

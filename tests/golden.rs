@@ -56,10 +56,10 @@ fn run_fingerprint(out: &RunOutput) -> BTreeMap<String, String> {
         ("dophy", hash_map(&out.dophy)),
         ("naive", hash_map(&out.naive)),
         ("bayes", hash_map(&out.bayes)),
-        ("minc", hash_map(&out.minc)),
-        ("sparse_l1", hash_map(&out.sparse_l1)),
-        ("em", hash_map(&out.em)),
-        ("ls", hash_map(&out.ls)),
+        ("minc", hash_map(out.minc())),
+        ("sparse_l1", hash_map(out.sparse_l1())),
+        ("em", hash_map(out.em())),
+        ("ls", hash_map(out.ls())),
         ("decode", hash_debug(&out.decode)),
         ("overhead", hash_debug(&out.overhead)),
         ("dissemination_bytes", hash_debug(&out.dissemination_bytes)),

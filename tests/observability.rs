@@ -40,8 +40,8 @@ fn fingerprint(out: &RunOutput) -> String {
     s += &serde_json::to_string(&out.dophy).unwrap();
     s += &serde_json::to_string(&out.naive).unwrap();
     s += &serde_json::to_string(&out.bayes).unwrap();
-    s += &serde_json::to_string(&out.em).unwrap();
-    s += &serde_json::to_string(&out.ls).unwrap();
+    s += &serde_json::to_string(out.em()).unwrap();
+    s += &serde_json::to_string(out.ls()).unwrap();
     s += &serde_json::to_string(&out.decode).unwrap();
     s += &serde_json::to_string(&out.overhead).unwrap();
     s += &serde_json::to_string(&out.churn).unwrap();
@@ -96,13 +96,13 @@ fn observed_run_is_bit_identical_to_bare_run() {
         ),
         (
             "em",
-            serde_json::to_string(&bare.em).unwrap(),
-            serde_json::to_string(&observed.em).unwrap(),
+            serde_json::to_string(bare.em()).unwrap(),
+            serde_json::to_string(observed.em()).unwrap(),
         ),
         (
             "ls",
-            serde_json::to_string(&bare.ls).unwrap(),
-            serde_json::to_string(&observed.ls).unwrap(),
+            serde_json::to_string(bare.ls()).unwrap(),
+            serde_json::to_string(observed.ls()).unwrap(),
         ),
         (
             "decode",
