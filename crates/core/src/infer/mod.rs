@@ -92,6 +92,18 @@ pub enum Evidence {
     },
 }
 
+impl Evidence {
+    /// When the event happened: a hop's decode time or a path outcome's
+    /// window end. Every consumer that keeps an evidence clock advances it
+    /// by this.
+    #[must_use]
+    pub fn at(&self) -> SimTime {
+        match self {
+            Evidence::Hop { at, .. } | Evidence::PathOutcome { at, .. } => *at,
+        }
+    }
+}
+
 /// Parameters of a snapshot: estimates are a function of the evidence seen
 /// so far *and* of when/how you ask.
 #[derive(Debug, Clone, Copy)]

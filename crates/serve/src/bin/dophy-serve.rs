@@ -1,16 +1,14 @@
 //! Drive the tomography service end to end: capture evidence from N
 //! parallel simulations, firehose it into a (possibly sharded) estimate
-//! store, and either benchmark sustained query-under-ingest load, verify
-//! live-vs-replay byte identity, serve the store over TCP, or query a
-//! listening service as a client.
+//! store, and either verify live-vs-replay byte identity, serve the store
+//! over TCP, or query a listening service as a client. One of `--check`,
+//! `--listen` or `--connect` picks the mode.
 //!
 //! ```text
-//! dophy-serve                                  # 2 sims, bench, report to stdout
-//! dophy-serve --sims 4 --side 5 --duration 900 # bigger firehose
 //! dophy-serve --check                          # determinism check (exit 1 on mismatch)
+//! dophy-serve --check --sims 4 --side 5 --duration 900   # bigger firehose
 //! dophy-serve --check --store-shards 4         # sharded vs serial byte identity
-//! dophy-serve --ttl 300 --window 120           # freshness-bounded serving
-//! dophy-serve --bench-out target/BENCH_serve.json
+//! dophy-serve --check --ttl 300 --window 120   # freshness-bounded serving
 //! dophy-serve --listen 127.0.0.1:7431          # ingest, then serve over TCP
 //! dophy-serve --connect 127.0.0.1:7431 --check # compare wire answers vs local recompute
 //! ```
@@ -27,19 +25,19 @@
 //! `--connect ADDR --check` recomputes the same firehose locally and
 //! demands that every framed answer off the wire is byte-identical to
 //! the local in-process answer at the same evidence seq.
+//!
+//! Ingest and query throughput are measured by `pipeline-bench/`, not by
+//! this binary.
 
 use dophy::infer::{EstimatorKind, Evidence};
 use dophy::protocol::DophyConfig;
 use dophy::tracking::WindowConfig;
 use dophy_bench::RunSpec;
 use dophy_serve::{
-    answer_from_snapshot, capture, networked_load, sustained_load, Client, EstimateStore,
-    LoadReport, NetLoadReport, Request, Response, ServeConfig, ServeStore, ShardRanges,
-    ShardedStore, StoreSnapshot, TomographyView,
+    answer_from_snapshot, capture, Client, EstimateStore, Request, Response, ServeConfig,
+    ServeStore, ShardRanges, ShardedStore, StoreSnapshot, TomographyView,
 };
 use dophy_sim::{LinkDynamics, MacConfig, Placement, RadioModel, SimConfig, SimDuration};
-use serde::Serialize;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 struct Cli {
@@ -53,22 +51,18 @@ struct Cli {
     top_k: usize,
     query_threads: usize,
     jobs: usize,
-    bench_out: Option<PathBuf>,
     check: bool,
     store_shards: usize,
     window_s: Option<u64>,
     ttl_s: Option<u64>,
     listen: Option<String>,
     connect: Option<String>,
-    net_clients: usize,
-    net_rounds: u64,
 }
 
-const USAGE: &str = "usage: dophy-serve [--sims N] [--side S] [--duration SECS] [--seed N] \
-[--shards N] [--estimator in-band|minc|sparse-l1] [--publish-every N] [--top-k K] \
-[--query-threads N] [--jobs N] [--bench-out <path>] [--check] [--store-shards N] \
-[--window SECS] [--ttl SECS] [--listen ADDR] [--connect ADDR] [--net-clients N] \
-[--net-rounds N]";
+const USAGE: &str = "usage: dophy-serve (--check | --listen ADDR | --connect ADDR [--check]) \
+[--sims N] [--side S] [--duration SECS] [--seed N] [--shards N] \
+[--estimator in-band|minc|sparse-l1] [--publish-every N] [--top-k K] [--query-threads N] \
+[--jobs N] [--store-shards N] [--window SECS (in-band only)] [--ttl SECS]";
 
 fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli {
@@ -82,15 +76,12 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         top_k: 10,
         query_threads: 2,
         jobs: 2,
-        bench_out: None,
         check: false,
         store_shards: 1,
         window_s: None,
         ttl_s: None,
         listen: None,
         connect: None,
-        net_clients: 2,
-        net_rounds: 200,
     };
     let mut i = 0;
     while i < args.len() {
@@ -132,7 +123,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 cli.query_threads = parse_pos(value(&mut i)?, "--query-threads")? as usize;
             }
             "--jobs" | "-j" => cli.jobs = parse_pos(value(&mut i)?, "--jobs")? as usize,
-            "--bench-out" => cli.bench_out = Some(PathBuf::from(value(&mut i)?)),
             "--store-shards" => {
                 cli.store_shards = parse_pos(value(&mut i)?, "--store-shards")? as usize;
             }
@@ -140,13 +130,20 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             "--ttl" => cli.ttl_s = Some(parse_pos(value(&mut i)?, "--ttl")?),
             "--listen" => cli.listen = Some(value(&mut i)?),
             "--connect" => cli.connect = Some(value(&mut i)?),
-            "--net-clients" => {
-                cli.net_clients = parse_pos(value(&mut i)?, "--net-clients")? as usize;
-            }
-            "--net-rounds" => cli.net_rounds = parse_pos(value(&mut i)?, "--net-rounds")?,
             _ => return Err(format!("unknown argument {arg}")),
         }
         i += 1;
+    }
+    if !cli.check && cli.listen.is_none() && cli.connect.is_none() {
+        return Err("no mode given: pass --check, --listen ADDR or --connect ADDR".into());
+    }
+    // The windowed backend reads in-band hop evidence only; reject the
+    // pair here rather than after a whole firehose capture.
+    if cli.window_s.is_some() && cli.estimator != EstimatorKind::InBand {
+        return Err(format!(
+            "--window needs the in-band estimator, got {}",
+            cli.estimator
+        ));
     }
     Ok(cli)
 }
@@ -239,27 +236,6 @@ impl CliStore {
             }
         }
     }
-}
-
-/// `BENCH_serve.json` payload.
-#[derive(Serialize)]
-struct BenchFile {
-    what: String,
-    context: BenchContext,
-    sims: usize,
-    nodes_per_sim: usize,
-    duration_s: u64,
-    estimator: String,
-    publish_every: u64,
-    store_shards: usize,
-    load: LoadReport,
-    networked: NetLoadReport,
-}
-
-#[derive(Serialize)]
-struct BenchContext {
-    available_cores: usize,
-    note: &'static str,
 }
 
 /// Live-vs-replay byte identity at the configured shard count: the live
@@ -473,104 +449,6 @@ fn run_connect(cli: &Cli, addr: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Bench mode: sustained in-process load, then a loopback networked
-/// load against the populated store.
-fn run_bench(cli: &Cli) -> Result<(), String> {
-    let (_spec, cfg, hose) = capture_firehose(cli)?;
-    let store = CliStore::build(cli, cfg, hose.node_count);
-    let report = sustained_load(store.serve_store(), &hose.events, cli.query_threads);
-    eprintln!(
-        "load: {} events in {:.3} s = {:.0} events/s ingest, {} queries = {:.0} queries/s \
-         ({} reader threads, {} generations, {} links)",
-        report.events,
-        report.ingest_wall_s,
-        report.ingest_events_per_sec,
-        report.queries,
-        report.queries_per_sec,
-        report.query_threads,
-        report.generations,
-        report.links
-    );
-
-    // Networked leg: serve the (already populated) store on an ephemeral
-    // loopback port and hammer it with framed clients.
-    let listener =
-        std::net::TcpListener::bind("127.0.0.1:0").map_err(|e| format!("bind loopback: {e}"))?;
-    let addr = listener
-        .local_addr()
-        .map_err(|e| format!("local addr: {e}"))?
-        .to_string();
-    let view = store.view();
-    std::thread::spawn(move || {
-        let _ = dophy_serve::serve(listener, view);
-    });
-    let networked = networked_load(&addr, cli.net_clients, cli.net_rounds)
-        .map_err(|e| format!("networked load against {addr}: {e}"))?;
-    eprintln!(
-        "networked: {} framed queries in {:.3} s = {:.0} queries/s \
-         ({} clients x {} rounds over loopback TCP)",
-        networked.queries,
-        networked.wall_s,
-        networked.queries_per_sec,
-        networked.client_threads,
-        networked.rounds_per_thread
-    );
-
-    let bench = BenchFile {
-        what: format!(
-            "dophy-serve sustained load: {} query threads against the estimate store \
-             ({} backend, {} store shard(s)) while the merged firehose of {} simulations \
-             ingests at full speed; then {} framed clients over loopback TCP. \
-             Regenerate with: cargo run --release -p dophy-serve -- --sims {} --side {} \
-             --duration {} --store-shards {} --bench-out <path>",
-            cli.query_threads,
-            cli.estimator,
-            cli.store_shards.max(1),
-            cli.sims,
-            cli.net_clients,
-            cli.sims,
-            cli.side,
-            cli.duration_s,
-            cli.store_shards.max(1),
-        ),
-        context: BenchContext {
-            available_cores: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-            note: "queries/sec counts full query-mix rounds (top-k + per-link + coverage + \
-                   path + stats) through TomographyView::answer; per-class latency quantiles \
-                   are power-of-two-bucket upper bounds in microseconds; networked numbers \
-                   include framing and the loopback round trip; on a single-core host reader \
-                   threads timeshare with the ingest loop, so throughputs are conservative",
-        },
-        sims: cli.sims,
-        nodes_per_sim: hose.node_count,
-        duration_s: cli.duration_s,
-        estimator: cli.estimator.to_string(),
-        publish_every: cli.publish_every,
-        store_shards: cli.store_shards.max(1),
-        load: report,
-        networked,
-    };
-    let json = serde_json::to_string_pretty(&bench)
-        .map_err(|e| format!("cannot serialize bench report: {e}"))?;
-    match &cli.bench_out {
-        Some(path) => {
-            if let Some(dir) = path.parent() {
-                if !dir.as_os_str().is_empty() {
-                    std::fs::create_dir_all(dir)
-                        .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-                }
-            }
-            std::fs::write(path, &json)
-                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-            eprintln!("bench report -> {}", path.display());
-        }
-        None => println!("{json}"),
-    }
-    Ok(())
-}
-
 fn run(cli: Cli) -> Result<(), String> {
     if let Some(addr) = cli.connect.clone() {
         return run_connect(&cli, &addr);
@@ -578,11 +456,8 @@ fn run(cli: Cli) -> Result<(), String> {
     if let Some(addr) = cli.listen.clone() {
         return run_listen(&cli, &addr);
     }
-    if cli.check {
-        let (_spec, cfg, hose) = capture_firehose(&cli)?;
-        return replay_check(&cli, &hose.events, cfg, hose.node_count);
-    }
-    run_bench(&cli)
+    let (_spec, cfg, hose) = capture_firehose(&cli)?;
+    replay_check(&cli, &hose.events, cfg, hose.node_count)
 }
 
 fn main() {
@@ -598,5 +473,36 @@ fn main() {
     if let Err(e) = run(cli) {
         eprintln!("dophy-serve: {e}");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn parse_args_requires_a_mode() {
+        let err = parse(&[]).err().expect("no arguments must be rejected");
+        assert!(err.contains("no mode"), "{err}");
+        assert!(parse(&["--sims", "4", "--store-shards", "2"]).is_err());
+        assert!(parse(&["--check"]).is_ok());
+        assert!(parse(&["--listen", "127.0.0.1:0"]).is_ok());
+        assert!(parse(&["--connect", "127.0.0.1:0"]).is_ok());
+    }
+
+    #[test]
+    fn parse_args_rejects_a_window_without_the_in_band_estimator() {
+        for estimator in ["minc", "sparse-l1"] {
+            let err = parse(&["--check", "--window", "120", "--estimator", estimator])
+                .err()
+                .expect("a windowed end-to-end estimator must be rejected");
+            assert!(err.contains("--window"), "{err}");
+        }
+        assert!(parse(&["--check", "--window", "120"]).is_ok());
+        assert!(parse(&["--check", "--estimator", "minc"]).is_ok());
     }
 }

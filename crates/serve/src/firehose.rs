@@ -77,12 +77,6 @@ fn shift(ev: &Evidence, offset: u32) -> Evidence {
     }
 }
 
-fn at(ev: &Evidence) -> SimTime {
-    match ev {
-        Evidence::Hop { at, .. } | Evidence::PathOutcome { at, .. } => *at,
-    }
-}
-
 /// One simulation's captured events plus its delivered-packet count.
 type CaptureResult = Result<(Vec<Evidence>, u64), String>;
 
@@ -132,7 +126,7 @@ pub fn capture(base: &RunSpec, sims: usize, jobs: usize) -> Result<Firehose, Str
         });
         let offset = (k * node_count) as u32;
         for ev in &events {
-            tagged.push((at(ev), k, shift(ev, offset)));
+            tagged.push((ev.at(), k, shift(ev, offset)));
         }
     }
     // Stable sort: ties on (time, sim) keep each simulation's own

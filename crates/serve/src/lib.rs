@@ -21,36 +21,32 @@
 //!   streams into one deterministic firehose.
 //! * [`shard_store`] — the link-range-sharded router: N stores behind
 //!   one [`proto::TomographyView`], with per-shard ingest threads and a
-//!   cross-shard seq barrier at publish, byte-identical to a single
-//!   store at every shard count.
-//! * [`proto`] — the versioned request/response vocabulary and the
+//!   cross-shard seq barrier that publishes one merged cut,
+//!   byte-identical to a single store's snapshot at every shard count.
+//! * [`proto`] — the versioned request/response vocabulary, the
 //!   [`proto::TomographyView`] query surface shared by both store
-//!   flavors and the wire.
+//!   flavors and the wire, and [`proto::answer_from_snapshot`], the one
+//!   function both flavors answer with.
 //! * [`wire`] — the length-prefixed framed codec with strict decode
 //!   limits and typed [`wire::WireError`]s.
 //! * [`net`] — TCP transport: thread-per-connection server and a
 //!   blocking framed [`net::Client`].
-//! * [`load`] — the sustained-load benchmarks (in-process and
-//!   networked): query threads hammer the store while the firehose
-//!   ingests, recording queries/sec and per-query-class latency
-//!   histograms (exported as `BENCH_serve.json` by the `dophy-serve`
-//!   binary).
 //!
 //! The `dophy-serve` binary ties it together:
 //!
 //! ```text
-//! dophy-serve --sims 4 --side 4 --duration 600        # bench to stdout
 //! dophy-serve --check --store-shards 4                # live-vs-replay byte identity
-//! dophy-serve --bench-out target/BENCH_serve.json     # persist the load report
 //! dophy-serve --listen 127.0.0.1:7431                 # serve over TCP
 //! dophy-serve --connect 127.0.0.1:7431 --check        # client vs local recompute
 //! ```
+//!
+//! Ingest and query throughput are measured by `pipeline-bench/` at the
+//! repository root, which drives this crate's public API end to end.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod firehose;
-pub mod load;
 pub mod net;
 pub mod proto;
 pub mod shard_store;
@@ -58,15 +54,12 @@ pub mod store;
 pub mod wire;
 
 pub use firehose::{capture, Firehose, SimCapture};
-pub use load::{
-    networked_load, sustained_load, LoadReport, NetLoadReport, QueryClassStats, QUERY_CLASSES,
-};
 pub use net::{listen_and_serve, serve, Client};
 pub use proto::{
     answer_from_snapshot, Request, Response, ServeStore, ServiceStats, TomographyView,
     PROTOCOL_VERSION,
 };
-pub use shard_store::{ShardRanges, ShardedCut, ShardedStore};
+pub use shard_store::{ShardRanges, ShardedStore};
 pub use store::{
     EstimateStore, LinkCoverage, LinkKey, PathLossReport, PerLinkAnswer, ServeConfig, StoreSnapshot,
 };

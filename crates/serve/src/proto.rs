@@ -137,8 +137,8 @@ pub trait TomographyView: Send + Sync {
     fn answer(&self, req: &Request) -> Response;
 }
 
-/// The ingest surface shared by the store flavors: everything the load
-/// drivers and the replay checker need, independent of sharding.
+/// The ingest surface shared by the store flavors, independent of
+/// sharding.
 pub trait ServeStore: TomographyView {
     /// Ingests one evidence event; returns its global sequence number.
     fn ingest(&self, ev: &Evidence) -> u64;
@@ -148,16 +148,13 @@ pub trait ServeStore: TomographyView {
     /// byte-identical to a single store at the same seq).
     fn publish_cut(&self) -> StoreSnapshot;
 
-    /// The canonical view of the currently published cut.
-    fn current_cut(&self) -> StoreSnapshot;
-
     /// Evidence events ingested so far.
     fn seq(&self) -> u64;
 }
 
-/// Answers a request from one immutable snapshot. This is the single
-/// store's whole query path, and the reference semantics the sharded
-/// fan-out must reproduce bit for bit.
+/// Answers a request from one immutable snapshot. This is the whole
+/// query path of both store flavors: a single store answers from its
+/// snapshot, the sharded router from its merged cut.
 pub fn answer_from_snapshot(snap: &StoreSnapshot, req: &Request) -> Response {
     match req {
         Request::PerLink { link } => Response::PerLink {
@@ -210,10 +207,6 @@ impl ServeStore for EstimateStore {
 
     fn publish_cut(&self) -> StoreSnapshot {
         (*self.publish_now()).clone()
-    }
-
-    fn current_cut(&self) -> StoreSnapshot {
-        (*self.snapshot()).clone()
     }
 
     fn seq(&self) -> u64 {

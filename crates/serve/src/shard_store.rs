@@ -18,11 +18,10 @@
 //! self-publishing disabled (`publish_every = u64::MAX`) and publish only
 //! when the router runs a **barrier**: every shard cuts a snapshot via
 //! [`EstimateStore::publish_now_at`] with the router's global `now`, and
-//! the router assembles the per-shard cuts plus a merged canonical
-//! [`StoreSnapshot`] into one [`ShardedCut`] published atomically. Readers
-//! therefore never observe shard A at generation `g+1` next to shard B at
-//! `g` — the cut is untorn by construction, and the concurrency tests
-//! assert it stays that way.
+//! the router merges the shard cuts into one canonical [`StoreSnapshot`]
+//! and publishes it atomically. Readers therefore never observe shard A
+//! at generation `g+1` next to shard B at `g` — the cut is untorn by
+//! construction, and debug builds assert it at every barrier.
 //!
 //! Running barriers at the same cadence a single store publishes
 //! (`publish_every` global events) and aging TTLs/windows against the
@@ -34,6 +33,12 @@
 //! ranges that never split a path across shards — which
 //! [`ShardRanges::by_blocks`] guarantees for firehose streams, where each
 //! simulation's nodes occupy one contiguous id block.
+//!
+//! ## One query path
+//!
+//! Because the merged cut equals a single store's snapshot, the router
+//! answers every request with [`answer_from_snapshot`] on it, exactly as
+//! a single store does; only [`ServiceStats::store_shards`] differs.
 //!
 //! ## Threaded ingest
 //!
@@ -47,7 +52,7 @@
 use crate::proto::{
     answer_from_snapshot, Request, Response, ServeStore, ServiceStats, TomographyView,
 };
-use crate::store::{EstimateStore, LinkKey, PathLossReport, ServeConfig, StoreSnapshot};
+use crate::store::{EstimateStore, LinkKey, ServeConfig, StoreSnapshot};
 use dophy::infer::{EstimatorKind, Evidence};
 use dophy_sim::SimTime;
 use parking_lot::{Mutex, RwLock};
@@ -105,12 +110,6 @@ impl ShardRanges {
     pub fn shard_of(&self, sender: u32) -> usize {
         self.starts.partition_point(|&s| s <= sender).max(1) - 1
     }
-
-    /// The shard owning a directed link (ownership is by sender).
-    #[must_use]
-    pub fn shard_of_link(&self, link: LinkKey) -> usize {
-        self.shard_of(link.0)
-    }
 }
 
 /// The router's global evidence clock.
@@ -119,14 +118,14 @@ struct RouterClock {
     now: SimTime,
 }
 
-/// One atomically published cross-shard cut: the per-shard snapshots
-/// (all at the same generation, cut at the same global `now`) plus the
-/// merged canonical snapshot byte-identical to a single store's.
-pub struct ShardedCut {
-    /// Per-shard snapshots, in shard order.
-    pub shards: Vec<Arc<StoreSnapshot>>,
-    /// The merged canonical cut (global seq/generation/now).
-    pub merged: Arc<StoreSnapshot>,
+impl RouterClock {
+    /// Counts `ev` and raises `now` to its timestamp; returns whether the
+    /// barrier is due (every `publish_every` global events).
+    fn advance(&mut self, ev: &Evidence, publish_every: u64) -> bool {
+        self.seq += 1;
+        self.now = self.now.max(ev.at());
+        self.seq.is_multiple_of(publish_every)
+    }
 }
 
 /// Message to a shard ingest thread: evidence to observe, or a barrier
@@ -143,7 +142,7 @@ pub struct ShardedStore {
     ranges: ShardRanges,
     cfg: ServeConfig,
     clock: Mutex<RouterClock>,
-    published: RwLock<Arc<ShardedCut>>,
+    published: RwLock<Arc<StoreSnapshot>>,
 }
 
 impl ShardedStore {
@@ -155,46 +154,22 @@ impl ShardedStore {
             publish_every: u64::MAX,
             ..cfg
         };
-        let shards: Vec<EstimateStore> = (0..ranges.len())
-            .map(|_| EstimateStore::new(kind, shard_cfg))
-            .collect();
-        let empties: Vec<Arc<StoreSnapshot>> = shards.iter().map(|s| s.snapshot()).collect();
-        let merged = Arc::new(StoreSnapshot::empty(&cfg));
         Self {
-            shards,
+            shards: (0..ranges.len())
+                .map(|_| EstimateStore::new(kind, shard_cfg))
+                .collect(),
             ranges,
             cfg,
             clock: Mutex::new(RouterClock {
                 seq: 0,
                 now: SimTime::ZERO,
             }),
-            published: RwLock::new(Arc::new(ShardedCut {
-                shards: empties,
-                merged,
-            })),
+            published: RwLock::new(Arc::new(StoreSnapshot::empty(&cfg))),
         }
     }
 
-    /// Number of store shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The partitioning in force.
-    #[must_use]
-    pub fn ranges(&self) -> &ShardRanges {
-        &self.ranges
-    }
-
-    /// The configuration the router was built with.
-    #[must_use]
-    pub fn config(&self) -> ServeConfig {
-        self.cfg
-    }
-
-    /// The currently published cross-shard cut.
-    pub fn cut(&self) -> Arc<ShardedCut> {
+    /// The currently published merged cut.
+    pub fn cut(&self) -> Arc<StoreSnapshot> {
         Arc::clone(&self.published.read())
     }
 
@@ -220,12 +195,12 @@ impl ShardedStore {
         }
     }
 
-    /// Merges per-shard snapshots into the canonical cut at global
-    /// `(seq, now)`. Estimate tables concatenate in shard order (already
-    /// globally sorted — ranges are contiguous in the sender, the major
-    /// key); top-k merges by `(loss bits, link)` descending, exactly the
-    /// single store's ranking order.
-    fn assemble(&self, seq: u64, now: SimTime, snaps: Vec<Arc<StoreSnapshot>>) -> ShardedCut {
+    /// Merges per-shard snapshots into the canonical cut at the global
+    /// clock and publishes it. Estimate tables concatenate in shard order
+    /// (already globally sorted — ranges are contiguous in the sender,
+    /// the major key); top-k merges by `(loss bits, link)` descending,
+    /// exactly the single store's ranking order.
+    fn assemble(&self, clock: &RouterClock, snaps: &[Arc<StoreSnapshot>]) -> Arc<StoreSnapshot> {
         let generation = snaps.first().map_or(0, |s| s.generation);
         debug_assert!(
             snaps.iter().all(|s| s.generation == generation),
@@ -235,7 +210,7 @@ impl ShardedStore {
         let mut last_seen = Vec::new();
         let mut stale = Vec::new();
         let mut top_k: Vec<(LinkKey, f64)> = Vec::new();
-        for s in &snaps {
+        for s in snaps {
             estimates.extend_from_slice(&s.estimates);
             last_seen.extend_from_slice(&s.last_seen);
             stale.extend_from_slice(&s.stale);
@@ -248,9 +223,9 @@ impl ShardedStore {
         });
         top_k.truncate(self.cfg.top_k);
         let merged = Arc::new(StoreSnapshot {
-            seq,
+            seq: clock.seq,
             generation,
-            now,
+            now: clock.now,
             r: self.cfg.r,
             min_samples: self.cfg.min_samples,
             ttl: self.cfg.ttl,
@@ -259,23 +234,19 @@ impl ShardedStore {
             stale,
             top_k,
         });
-        ShardedCut {
-            shards: snaps,
-            merged,
-        }
+        *self.published.write() = Arc::clone(&merged);
+        merged
     }
 
     /// Inline barrier: cut every shard at the global clock and publish
-    /// the assembled cut. Caller holds the clock lock.
-    fn barrier_inline(&self, clock: &RouterClock) -> Arc<ShardedCut> {
+    /// the merged cut. Caller holds the clock lock.
+    fn barrier_inline(&self, clock: &RouterClock) -> Arc<StoreSnapshot> {
         let snaps: Vec<Arc<StoreSnapshot>> = self
             .shards
             .iter()
             .map(|s| s.publish_now_at(clock.now))
             .collect();
-        let cut = Arc::new(self.assemble(clock.seq, clock.now, snaps));
-        *self.published.write() = Arc::clone(&cut);
-        cut
+        self.assemble(clock, &snaps)
     }
 
     /// Ingests the whole stream with one ingest thread per shard. The
@@ -312,17 +283,13 @@ impl ShardedStore {
             }
             let mut clock = self.clock.lock();
             for ev in events {
-                clock.seq += 1;
-                let at = evidence_time(ev);
-                if at > clock.now {
-                    clock.now = at;
-                }
+                let barrier = clock.advance(ev, self.cfg.publish_every);
                 self.route(ev, |i| {
                     event_txs[i]
                         .send(ShardMsg::Ev(ev))
                         .expect("shard ingest thread died");
                 });
-                if clock.seq.is_multiple_of(self.cfg.publish_every) {
+                if barrier {
                     for tx in &event_txs {
                         tx.send(ShardMsg::Cut { now: clock.now })
                             .expect("shard ingest thread died");
@@ -331,8 +298,7 @@ impl ShardedStore {
                         .iter()
                         .map(|rx| rx.recv().expect("shard dropped its cut"))
                         .collect();
-                    let cut = Arc::new(self.assemble(clock.seq, clock.now, snaps));
-                    *self.published.write() = cut;
+                    self.assemble(&clock, &snaps);
                 }
             }
             drop(event_txs);
@@ -341,83 +307,30 @@ impl ShardedStore {
     }
 }
 
-fn evidence_time(ev: &Evidence) -> SimTime {
-    match ev {
-        Evidence::Hop { at, .. } | Evidence::PathOutcome { at, .. } => *at,
-    }
-}
-
 impl TomographyView for ShardedStore {
-    /// Fan-out/merge over the published cut: per-link and coverage go to
-    /// the owning shard, paths compose hop by hop from each hop's owner
-    /// (same multiplication order as the single store, so the floats are
-    /// bit-identical), top-k merges across shards, and snapshots serve
-    /// the pre-merged canonical cut.
+    /// Answers from the merged cut with the single store's query path;
+    /// `Stats` advertises the shard count.
     fn answer(&self, req: &Request) -> Response {
-        let cut = self.cut();
-        let seq = cut.merged.seq;
-        match req {
-            Request::PerLink { link } => Response::PerLink {
-                seq,
-                answer: cut.shards[self.ranges.shard_of_link(*link)].per_link(*link),
-            },
-            Request::Coverage { link } => Response::Coverage {
-                seq,
-                coverage: cut.shards[self.ranges.shard_of_link(*link)].coverage(*link),
-            },
-            Request::Path { path } => {
-                let mut delivery = 1.0;
-                let mut raw = 1.0;
-                let mut known = 0usize;
-                for hop in path {
-                    let snap = &cut.shards[self.ranges.shard_of_link(*hop)];
-                    if let Some(e) = snap.link(*hop) {
-                        known += 1;
-                        raw *= 1.0 - e.loss;
-                        delivery *= 1.0 - e.loss.powi(i32::from(self.cfg.r));
-                    }
-                }
-                Response::Path {
-                    seq,
-                    report: PathLossReport {
-                        hops: path.len(),
-                        known_hops: known,
-                        delivery_prob: delivery,
-                        raw_success: raw,
-                    },
-                }
-            }
-            Request::TopK { k } => Response::TopK {
-                seq,
-                entries: cut.merged.top_k.iter().take(*k as usize).copied().collect(),
-            },
-            Request::Stats => Response::Stats(ServiceStats {
-                seq,
-                generation: cut.merged.generation,
-                now: cut.merged.now,
-                links: cut.merged.estimates.len() as u64,
-                stale_links: cut.merged.stale.len() as u64,
+        match answer_from_snapshot(&self.cut(), req) {
+            Response::Stats(stats) => Response::Stats(ServiceStats {
                 store_shards: self.shards.len() as u64,
+                ..stats
             }),
-            Request::SnapshotAt { .. } => answer_from_snapshot(&cut.merged, req),
+            other => other,
         }
     }
 }
 
 impl ServeStore for ShardedStore {
-    /// Inline (router-threaded) ingest: routes the event, advances the
-    /// global clock, and runs the barrier at the publish cadence.
+    /// Inline (router-threaded) ingest: advances the global clock, routes
+    /// the event, and runs the barrier at the publish cadence.
     fn ingest(&self, ev: &Evidence) -> u64 {
         let mut clock = self.clock.lock();
-        clock.seq += 1;
-        let at = evidence_time(ev);
-        if at > clock.now {
-            clock.now = at;
-        }
+        let barrier = clock.advance(ev, self.cfg.publish_every);
         self.route(ev, |i| {
             self.shards[i].ingest(ev);
         });
-        if clock.seq.is_multiple_of(self.cfg.publish_every) {
+        if barrier {
             self.barrier_inline(&clock);
         }
         clock.seq
@@ -425,12 +338,7 @@ impl ServeStore for ShardedStore {
 
     fn publish_cut(&self) -> StoreSnapshot {
         let clock = self.clock.lock();
-        let cut = self.barrier_inline(&clock);
-        (*cut.merged).clone()
-    }
-
-    fn current_cut(&self) -> StoreSnapshot {
-        (*self.cut().merged).clone()
+        (*self.barrier_inline(&clock)).clone()
     }
 
     fn seq(&self) -> u64 {

@@ -423,11 +423,6 @@ impl EstimateStore {
         }
     }
 
-    /// The configuration the store was built with.
-    pub fn config(&self) -> ServeConfig {
-        self.ingest.lock().cfg
-    }
-
     /// Ingests one evidence event; returns its sequence number. Publishes
     /// a new generation every `publish_every` events.
     pub fn ingest(&self, ev: &Evidence) -> u64 {
@@ -435,9 +430,7 @@ impl EstimateStore {
         g.backend.observe(ev);
         g.touch_links(ev);
         g.seq += 1;
-        let at = match ev {
-            Evidence::Hop { at, .. } | Evidence::PathOutcome { at, .. } => *at,
-        };
+        let at = ev.at();
         if at > g.now {
             g.now = at;
         }

@@ -2,13 +2,15 @@
 //! and top-k but still answer a typed [`PerLinkAnswer::NotFresh`]; the
 //! windowed store matches the tracking crate's windowed estimator bit
 //! for bit; and TTL aging against the sharded router's global clock
-//! keeps the merged cut byte-identical to a single store.
+//! keeps the merged cut, and every answer read off it, byte-identical to
+//! a single store's.
 
 use dophy::infer::{Estimator, EstimatorKind, Evidence, SnapshotQuery};
 use dophy::tracking::{WindowConfig, WindowedNetworkEstimator};
 use dophy_coding::aggregate::AttemptObservation;
 use dophy_serve::{
-    EstimateStore, PerLinkAnswer, ServeConfig, ServeStore, ShardRanges, ShardedStore,
+    EstimateStore, PerLinkAnswer, Request, ServeConfig, ServeStore, ShardRanges, ShardedStore,
+    TomographyView,
 };
 use dophy_sim::{SimDuration, SimTime};
 
@@ -193,7 +195,8 @@ fn windowed_link_ages_out_of_estimates_and_top_k() {
 
 /// TTL aging runs against the router's global clock: a sharded store
 /// with a TTL publishes cuts byte-identical to a single store over a
-/// stream where links age out between barriers.
+/// stream where links age out between barriers, and answers every query
+/// — a `NotFresh` link included — with the single store's bytes.
 #[test]
 fn ttl_cuts_stay_byte_identical_across_shards() {
     let cfg = ServeConfig {
@@ -216,11 +219,12 @@ fn ttl_cuts_stay_byte_identical_across_shards() {
         ServeStore::ingest(&single, ev);
         sharded.ingest(ev);
     }
-    let single_cut = serde_json::to_string(&single.publish_cut()).unwrap();
-    let sharded_cut = serde_json::to_string(&sharded.publish_cut()).unwrap();
-    assert_eq!(single_cut, sharded_cut, "TTL cut diverged across shards");
-
     let cut = sharded.publish_cut();
+    assert_eq!(
+        serde_json::to_string(&single.publish_cut()).unwrap(),
+        serde_json::to_string(&cut).unwrap(),
+        "TTL cut diverged across shards"
+    );
     assert!(
         cut.stale.iter().any(|&(l, _)| l == (3, 2)),
         "expected link (3,2) to age out"
@@ -229,4 +233,23 @@ fn ttl_cuts_stay_byte_identical_across_shards() {
         cut.per_link((3, 2)),
         PerLinkAnswer::NotFresh { .. }
     ));
+
+    // (0,1) and (3,2) sit on different shards of the two.
+    let requests = [
+        Request::PerLink { link: (3, 2) },
+        Request::PerLink { link: (0, 1) },
+        Request::PerLink { link: (9, 9) },
+        Request::Coverage { link: (3, 2) },
+        Request::Coverage { link: (0, 1) },
+        Request::Path {
+            path: vec![(3, 2), (0, 1)],
+        },
+    ];
+    for req in &requests {
+        assert_eq!(
+            serde_json::to_string(&sharded.answer(req)).unwrap(),
+            serde_json::to_string(&single.answer(req)).unwrap(),
+            "router answer diverged under a TTL on {req:?}"
+        );
+    }
 }

@@ -6,7 +6,7 @@
 use dophy::infer::{EstimatorKind, Evidence};
 use dophy::protocol::DophyConfig;
 use dophy_bench::RunSpec;
-use dophy_serve::{capture, sustained_load, EstimateStore, ServeConfig};
+use dophy_serve::{capture, EstimateStore, ServeConfig};
 use dophy_sim::{LinkDynamics, MacConfig, Placement, RadioModel, SimConfig, SimDuration};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -136,19 +136,4 @@ fn query_at_seq_is_byte_identical_live_vs_replayed() {
     );
     assert!(!snap.top_k.is_empty());
     assert_eq!(snap.seq, events.len() as u64);
-}
-
-/// The sustained-load driver reports sane numbers and leaves the store
-/// with a full complement of generations.
-#[test]
-fn sustained_load_reports_ingest_and_query_throughput() {
-    let hose = capture(&spec(11), 2, 2).expect("capture");
-    let store = EstimateStore::new(EstimatorKind::InBand, cfg());
-    let report = sustained_load(&store, &hose.events, 2);
-    assert_eq!(report.events, hose.events.len() as u64);
-    assert_eq!(report.final_seq, hose.events.len() as u64);
-    assert!(report.ingest_events_per_sec > 0.0);
-    assert!(report.queries > 0, "readers answered no queries");
-    assert!(report.generations >= hose.events.len() as u64 / 128);
-    assert!(report.links > 0);
 }

@@ -1,7 +1,7 @@
 //! Sharded-store tests: byte identity of the merged cut against a single
 //! store at every shard count and ingest mode, untorn cross-shard cuts
-//! under concurrent readers, and fan-out answers equal to the reference
-//! single-snapshot query path.
+//! under concurrent readers, and router answers equal to the single
+//! store's.
 
 use dophy::infer::EstimatorKind;
 use dophy::protocol::DophyConfig;
@@ -129,11 +129,11 @@ fn threaded_ingest_matches_inline_and_single() {
     }
 }
 
-/// Concurrent readers never observe a torn cross-shard cut: in every
-/// published [`dophy_serve::ShardedCut`] all shard generations equal the
-/// merged generation, seq is monotone, and every merged top-k entry is
-/// backed by an estimate with the identical loss — while per-shard ingest
-/// threads and barriers run flat out.
+/// Concurrent readers never observe a torn cross-shard cut: seq is
+/// monotone and every merged top-k entry is backed by an estimate with
+/// the identical loss — while per-shard ingest threads and barriers run
+/// flat out. In debug builds the router also asserts at every barrier
+/// that all shards cut at the same generation.
 #[test]
 fn cross_shard_cuts_are_never_torn() {
     let hose = capture(&spec(25), 2, 2).expect("capture");
@@ -154,24 +154,15 @@ fn cross_shard_cuts_are_never_torn() {
                 let mut generations_seen = 0u64;
                 while !done.load(Ordering::Relaxed) {
                     let cut = sharded.cut();
-                    let generation = cut.merged.generation;
-                    for (i, shard) in cut.shards.iter().enumerate() {
-                        assert_eq!(
-                            shard.generation, generation,
-                            "torn cut: shard {i} at generation {} vs merged {generation}",
-                            shard.generation
-                        );
-                    }
-                    assert!(cut.merged.seq >= last_seq, "cut seq went backwards");
-                    last_seq = cut.merged.seq;
-                    for &(link, loss) in &cut.merged.top_k {
+                    assert!(cut.seq >= last_seq, "cut seq went backwards");
+                    last_seq = cut.seq;
+                    for &(link, loss) in &cut.top_k {
                         let est = cut
-                            .merged
                             .link(link)
                             .expect("top-k link missing from merged estimates");
                         assert_eq!(est.loss, loss, "top-k loss mixed across generations");
                     }
-                    generations_seen = generations_seen.max(generation);
+                    generations_seen = generations_seen.max(cut.generation);
                 }
                 assert!(generations_seen > 0, "readers never saw a published cut");
             });
@@ -182,12 +173,11 @@ fn cross_shard_cuts_are_never_torn() {
     });
 }
 
-/// The sharded fan-out (per-link and coverage to the owning shard, paths
-/// composed hop by hop, top-k merged, snapshot from the canonical cut)
-/// answers byte-identically to [`answer_from_snapshot`] over the single
-/// store's snapshot at the same seq — for every estimated link, a stale
-/// probe, an unknown link, and multi-hop paths. `Stats` differs only in
-/// the advertised shard count.
+/// The router answers byte-identically to [`answer_from_snapshot`] over
+/// the single store's snapshot at the same seq — for every estimated
+/// link, a stale probe, an unknown link, and multi-hop paths, with the
+/// links spread over four shards. `Stats` differs only in the advertised
+/// shard count.
 #[test]
 fn fan_out_answers_match_reference_snapshot() {
     let hose = capture(&spec(27), 2, 2).expect("capture");
@@ -234,7 +224,7 @@ fn fan_out_answers_match_reference_snapshot() {
     for req in &requests {
         let want = serde_json::to_string(&answer_from_snapshot(&reference, req)).unwrap();
         let got = serde_json::to_string(&sharded.answer(req)).unwrap();
-        assert_eq!(got, want, "fan-out diverged on {req:?}");
+        assert_eq!(got, want, "router answer diverged on {req:?}");
         probed += 1;
     }
     assert!(probed > 20, "only {probed} probes — stream too thin");

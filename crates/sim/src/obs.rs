@@ -1024,44 +1024,6 @@ impl Histogram {
             self.sum / self.count as f64
         }
     }
-
-    /// Folds `other` into `self`, as if every observation recorded in
-    /// `other` had been recorded here. Lets per-thread histograms be
-    /// aggregated into one without sharing the registry across threads.
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
-        }
-    }
-
-    /// Approximate quantile (`q` in `[0, 1]`) from the bucket counts:
-    /// the upper bound of the bucket containing the `q`-th observation,
-    /// clamped to the observed `max` (`NaN` when empty). Coarse by
-    /// construction — buckets are powers of two — but monotone in `q`
-    /// and cheap enough to report per query class.
-    #[must_use]
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return f64::NAN;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= target {
-                let bound = 2.0f64.powi(i as i32);
-                return bound.min(self.max);
-            }
-        }
-        self.max
-    }
 }
 
 /// One timestamped snapshot of every metric in the registry.
