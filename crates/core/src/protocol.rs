@@ -31,7 +31,7 @@ use dophy_coding::aggregate::AggregationPolicy;
 use dophy_routing::{Router, RouterConfig};
 use dophy_sim::obs::{
     data_trace_id, model_trace_id, DecodeEvent, DecodeOutcome, DropEvent, DropReason,
-    EpochSwitchEvent, SpanEvent, SpanPhase,
+    EpochSwitchEvent, Event, SpanPhase,
 };
 use dophy_sim::profile::{self, Subsystem};
 use dophy_sim::stats::{CountHistogram, Streaming};
@@ -430,16 +430,11 @@ impl DophyNode {
         shared.sent_per_origin[me.index()] += 1;
         let Some(parent) = parent else {
             shared.no_route_drops += 1;
-            if let Some(observer) = ctx.observer() {
-                observer.on_drop(
-                    ctx.now(),
-                    &DropEvent {
-                        node: me.0,
-                        dst: None,
-                        reason: DropReason::NoRoute,
-                    },
-                );
-            }
+            ctx.emit(Event::Drop(DropEvent {
+                node: me.0,
+                dst: None,
+                reason: DropReason::NoRoute,
+            }));
             return;
         };
         let epoch = shared.manager.node_current(me.index(), ctx.now()).epoch;
@@ -448,16 +443,7 @@ impl DophyNode {
         drop(shared);
         self.stats.generated += 1;
         let trace = data_trace_id(me.0, self.seq);
-        if let Some(observer) = ctx.observer() {
-            observer.on_span(
-                ctx.now(),
-                &SpanEvent {
-                    trace_id: trace,
-                    node: me.0,
-                    phase: SpanPhase::Origin,
-                },
-            );
-        }
+        ctx.span(trace, SpanPhase::Origin);
         ctx.send_unicast_traced(parent, Arc::new(DataMsg { header }), wire, trace);
     }
 
@@ -478,29 +464,23 @@ impl DophyNode {
     fn forward(&mut self, ctx: &mut Ctx<'_>, frame: &Frame, msg: &DataMsg) {
         let me = ctx.node_id();
         let mut header = msg.header.clone();
+        // The trace id travels with the packet's identity (origin, seq),
+        // so every hop of one packet shares a lifecycle.
+        let trace = data_trace_id(header.origin.0, header.seq);
         let mut shared = self.shared.lock();
         if header.hops >= self.cfg.ttl {
             shared.ttl_drops += 1;
-            if let Some(observer) = ctx.observer() {
-                observer.on_drop(
-                    ctx.now(),
-                    &DropEvent {
-                        node: me.0,
-                        dst: None,
-                        reason: DropReason::TtlExpired,
-                    },
-                );
-                observer.on_span(
-                    ctx.now(),
-                    &SpanEvent {
-                        trace_id: data_trace_id(header.origin.0, header.seq),
-                        node: me.0,
-                        phase: SpanPhase::Drop {
-                            reason: DropReason::TtlExpired,
-                        },
-                    },
-                );
-            }
+            ctx.emit(Event::Drop(DropEvent {
+                node: me.0,
+                dst: None,
+                reason: DropReason::TtlExpired,
+            }));
+            ctx.span(
+                trace,
+                SpanPhase::Drop {
+                    reason: DropReason::TtlExpired,
+                },
+            );
             return;
         }
         // Ground-truth hop log (harness channel).
@@ -551,43 +531,22 @@ impl DophyNode {
         let parent = self.router().next_hop();
         let Some(parent) = parent else {
             shared.no_route_drops += 1;
-            if let Some(observer) = ctx.observer() {
-                observer.on_drop(
-                    ctx.now(),
-                    &DropEvent {
-                        node: me.0,
-                        dst: None,
-                        reason: DropReason::NoRoute,
-                    },
-                );
-                observer.on_span(
-                    ctx.now(),
-                    &SpanEvent {
-                        trace_id: data_trace_id(header.origin.0, header.seq),
-                        node: me.0,
-                        phase: SpanPhase::Drop {
-                            reason: DropReason::NoRoute,
-                        },
-                    },
-                );
-            }
+            ctx.emit(Event::Drop(DropEvent {
+                node: me.0,
+                dst: None,
+                reason: DropReason::NoRoute,
+            }));
+            ctx.span(
+                trace,
+                SpanPhase::Drop {
+                    reason: DropReason::NoRoute,
+                },
+            );
             return;
         };
         drop(shared);
         self.stats.forwarded += 1;
-        // The trace id travels with the packet's identity (origin, seq),
-        // so every hop of one packet shares a lifecycle.
-        let trace = data_trace_id(header.origin.0, header.seq);
-        if let Some(observer) = ctx.observer() {
-            observer.on_span(
-                ctx.now(),
-                &SpanEvent {
-                    trace_id: trace,
-                    node: me.0,
-                    phase: SpanPhase::Forward { to: parent.0 },
-                },
-            );
-        }
+        ctx.span(trace, SpanPhase::Forward { to: parent.0 });
         let wire = MAC_HEADER_BYTES + header.wire_bytes() + self.cfg.payload_bytes;
         ctx.send_unicast_traced(parent, Arc::new(DataMsg { header }), wire, trace);
     }
@@ -641,25 +600,13 @@ impl DophyNode {
         };
         if let Some(outcome) = precheck_outcome {
             drop(shared);
-            if let Some(observer) = ctx.observer() {
-                observer.on_decode(
-                    ctx.now(),
-                    &DecodeEvent {
-                        origin: header.origin.0,
-                        seq: header.seq,
-                        hops: u16::from(header.hops),
-                        outcome,
-                    },
-                );
-                observer.on_span(
-                    ctx.now(),
-                    &SpanEvent {
-                        trace_id: trace,
-                        node: NodeId::SINK.0,
-                        phase: SpanPhase::Decode { outcome },
-                    },
-                );
-            }
+            ctx.emit(Event::Decode(DecodeEvent {
+                origin: header.origin.0,
+                seq: header.seq,
+                hops: u16::from(header.hops),
+                outcome,
+            }));
+            ctx.span(trace, SpanPhase::Decode { outcome });
             return;
         }
         shared.delivered_per_origin[header.origin.index()] += 1;
@@ -768,36 +715,20 @@ impl DophyNode {
                 }
             }
         };
-        if let Some(observer) = ctx.observer() {
-            observer.on_decode(
-                ctx.now(),
-                &DecodeEvent {
-                    origin: header.origin.0,
-                    seq: header.seq,
-                    hops: u16::from(header.hops),
-                    outcome: decode_outcome,
-                },
-            );
-            observer.on_span(
-                ctx.now(),
-                &SpanEvent {
-                    trace_id: trace,
-                    node: NodeId::SINK.0,
-                    phase: SpanPhase::Decode {
-                        outcome: decode_outcome,
-                    },
-                },
-            );
-            if let Some(observations) = ingested {
-                observer.on_span(
-                    ctx.now(),
-                    &SpanEvent {
-                        trace_id: trace,
-                        node: NodeId::SINK.0,
-                        phase: SpanPhase::Ingest { observations },
-                    },
-                );
-            }
+        ctx.emit(Event::Decode(DecodeEvent {
+            origin: header.origin.0,
+            seq: header.seq,
+            hops: u16::from(header.hops),
+            outcome: decode_outcome,
+        }));
+        ctx.span(
+            trace,
+            SpanPhase::Decode {
+                outcome: decode_outcome,
+            },
+        );
+        if let Some(observations) = ingested {
+            ctx.span(trace, SpanPhase::Ingest { observations });
         }
     }
 }
@@ -886,24 +817,12 @@ impl Protocol for DophyNode {
                     shared.manager.refresh(now, &hub)
                 };
                 if let Some(epoch) = switched {
-                    if let Some(observer) = ctx.observer() {
-                        observer.on_epoch_switch(
-                            ctx.now(),
-                            &EpochSwitchEvent {
-                                epoch: epoch as u64,
-                            },
-                        );
-                        // A model refresh originates a dissemination
-                        // lifecycle of its own.
-                        observer.on_span(
-                            ctx.now(),
-                            &SpanEvent {
-                                trace_id: model_trace_id(epoch as u64),
-                                node: ctx.node_id().0,
-                                phase: SpanPhase::Origin,
-                            },
-                        );
-                    }
+                    ctx.emit(Event::EpochSwitch(EpochSwitchEvent {
+                        epoch: epoch as u64,
+                    }));
+                    // A model refresh originates a dissemination
+                    // lifecycle of its own.
+                    ctx.span(model_trace_id(epoch as u64), SpanPhase::Origin);
                 }
                 ctx.set_timer(self.cfg.model_update.update_period, TIMER_MODEL_UPDATE);
             }
@@ -939,43 +858,23 @@ impl Protocol for DophyNode {
                     // The corruption span carries the packet's *original*
                     // identity — the last trustworthy point in the
                     // lifecycle before the bytes were damaged.
-                    if let Some(observer) = ctx.observer() {
-                        observer.on_span(
-                            ctx.now(),
-                            &SpanEvent {
-                                trace_id: data_trace_id(msg.header.origin.0, msg.header.seq),
-                                node: ctx.node_id().0,
-                                phase: SpanPhase::Corrupt,
-                            },
-                        );
-                    }
+                    let trace = data_trace_id(msg.header.origin.0, msg.header.seq);
+                    ctx.span(trace, SpanPhase::Corrupt);
                     match DophyHeader::from_bytes(&bytes) {
                         Some(header) => msg.header = header,
                         None => {
                             self.shared.lock().corrupt_frame_drops += 1;
-                            if let Some(observer) = ctx.observer() {
-                                observer.on_drop(
-                                    ctx.now(),
-                                    &DropEvent {
-                                        node: ctx.node_id().0,
-                                        dst: None,
-                                        reason: DropReason::Corrupt,
-                                    },
-                                );
-                                observer.on_span(
-                                    ctx.now(),
-                                    &SpanEvent {
-                                        trace_id: data_trace_id(
-                                            msg.header.origin.0,
-                                            msg.header.seq,
-                                        ),
-                                        node: ctx.node_id().0,
-                                        phase: SpanPhase::Drop {
-                                            reason: DropReason::Corrupt,
-                                        },
-                                    },
-                                );
-                            }
+                            ctx.emit(Event::Drop(DropEvent {
+                                node: ctx.node_id().0,
+                                dst: None,
+                                reason: DropReason::Corrupt,
+                            }));
+                            ctx.span(
+                                trace,
+                                SpanPhase::Drop {
+                                    reason: DropReason::Corrupt,
+                                },
+                            );
                             return;
                         }
                     }

@@ -21,7 +21,7 @@
 
 use crate::beacon::{Trickle, TrickleConfig};
 use crate::table::{EstimatorConfig, NeighborTable};
-use dophy_sim::obs::{beacon_trace_id, ParentChangeEvent, SpanEvent, SpanPhase};
+use dophy_sim::obs::{beacon_trace_id, Event, ParentChangeEvent, SpanPhase};
 use dophy_sim::{Ctx, Frame, NodeId, SendDone, SimTime, TimerId};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
@@ -241,16 +241,7 @@ impl Router {
             etx_to_sink: self.own_etx(),
         };
         let trace = beacon_trace_id(self.node.0, u64::from(self.beacon_seq));
-        if let Some(observer) = ctx.observer() {
-            observer.on_span(
-                ctx.now(),
-                &SpanEvent {
-                    trace_id: trace,
-                    node: self.node.0,
-                    phase: SpanPhase::Origin,
-                },
-            );
-        }
+        ctx.span(trace, SpanPhase::Origin);
         ctx.send_broadcast_traced(Arc::new(msg), BEACON_WIRE_BYTES, trace);
         self.stats.beacons_sent += 1;
     }
@@ -304,17 +295,12 @@ impl Router {
 
     fn adopt(&mut self, ctx: &mut Ctx<'_>, parent: NodeId, etx: f64) {
         let had_parent = self.parent.is_some();
-        if let Some(obs) = ctx.observer() {
-            obs.on_parent_change(
-                ctx.now(),
-                &ParentChangeEvent {
-                    node: ctx.node_id().0,
-                    old_parent: self.parent.map(|p| p.0),
-                    new_parent: parent.0,
-                    etx,
-                },
-            );
-        }
+        ctx.emit(Event::ParentChange(ParentChangeEvent {
+            node: ctx.node_id().0,
+            old_parent: self.parent.map(|p| p.0),
+            new_parent: parent.0,
+            etx,
+        }));
         self.parent = Some(parent);
         self.parent_etx = etx;
         self.parent_log.push((ctx.now(), parent));

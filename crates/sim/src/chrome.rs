@@ -1,6 +1,6 @@
 //! Chrome-trace / Perfetto exporter for causal lifecycle spans.
 //!
-//! [`ChromeTracer`] is an [`Observer`] that renders [`SpanEvent`]s into
+//! [`ChromeTracer`] is an [`Observer`] that renders [`Event::Span`]s into
 //! the Chrome trace-event JSON array format, so a simulation run can be
 //! scrubbed visually in `chrome://tracing` or [Perfetto]. Each span
 //! becomes a complete (`"ph":"X"`) event on the track of the node it
@@ -20,7 +20,7 @@
 //! escaping is needed and the output is byte-deterministic.
 //!
 //! [Perfetto]: https://ui.perfetto.dev
-use crate::obs::{Observer, SpanEvent, SpanPhase, TraceKind};
+use crate::obs::{Event, Observer, SpanPhase, TraceKind};
 use crate::rng::splitmix64;
 use crate::time::SimTime;
 use parking_lot::Mutex;
@@ -37,7 +37,8 @@ struct State<W: Write + Send> {
     seen: HashSet<u64>,
 }
 
-/// Observer exporting lifecycle spans as Chrome-trace JSON.
+/// Observer exporting lifecycle spans as Chrome-trace JSON; it ignores
+/// every other event kind.
 ///
 /// The output is a single JSON array, written incrementally; call
 /// [`ChromeTracer::finish`] after the run to close the array (dropping
@@ -144,7 +145,10 @@ impl<W: Write + Send> ChromeTracer<W> {
 }
 
 impl<W: Write + Send> Observer for ChromeTracer<W> {
-    fn on_span(&self, now: SimTime, ev: &SpanEvent) {
+    fn on_event(&self, now: SimTime, ev: &Event) {
+        let Event::Span(ev) = ev else {
+            return;
+        };
         if !self.keeps(ev.trace_id) {
             return;
         }
@@ -185,7 +189,7 @@ impl<W: Write + Send> Observer for ChromeTracer<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::{data_trace_id, DropReason};
+    use crate::obs::{data_trace_id, DropReason, SpanEvent};
     use crate::time::SimDuration;
     use serde::{find_field, Value};
 
@@ -193,12 +197,12 @@ mod tests {
         SimTime::ZERO + SimDuration::from_micros(us)
     }
 
-    fn span(id: u64, node: u32, phase: SpanPhase) -> SpanEvent {
-        SpanEvent {
+    fn span(id: u64, node: u32, phase: SpanPhase) -> Event {
+        Event::Span(SpanEvent {
             trace_id: id,
             node,
             phase,
-        }
+        })
     }
 
     fn field<'a>(ev: &'a Value, key: &str) -> &'a Value {
@@ -210,8 +214,8 @@ mod tests {
     fn emits_well_formed_chrome_json() {
         let tracer = ChromeTracer::new(Vec::new());
         let id = data_trace_id(5, 9);
-        tracer.on_span(t(10), &span(id, 5, SpanPhase::Origin));
-        tracer.on_span(
+        tracer.on_event(t(10), &span(id, 5, SpanPhase::Origin));
+        tracer.on_event(
             t(20),
             &span(
                 id,
@@ -223,7 +227,7 @@ mod tests {
                 },
             ),
         );
-        tracer.on_span(
+        tracer.on_event(
             t(30),
             &span(
                 id,
@@ -265,8 +269,8 @@ mod tests {
         for seq in 0..200u32 {
             let id = data_trace_id(1, seq);
             let keep = tracer.keeps(id);
-            tracer.on_span(t(u64::from(seq)), &span(id, 1, SpanPhase::Origin));
-            tracer.on_span(
+            tracer.on_event(t(u64::from(seq)), &span(id, 1, SpanPhase::Origin));
+            tracer.on_event(
                 t(u64::from(seq) + 1),
                 &span(id, 0, SpanPhase::Deliver { src: 1, attempt: 1 }),
             );

@@ -23,7 +23,7 @@
 //! number is the geometric sample Dophy's estimator consumes.
 
 use crate::mac::MacConfig;
-use crate::obs::Observer;
+use crate::obs::{Event, Observer, SpanEvent, SpanPhase};
 use crate::packet::{Frame, Payload, SendDone, SendToken, TimerId};
 use crate::profile::Profiler;
 use crate::time::{SimDuration, SimTime};
@@ -124,11 +124,26 @@ impl Ctx<'_> {
         self.rng
     }
 
-    /// The engine's observer, if one is installed — lets protocol layers
-    /// emit their own structured events (parent changes, epoch switches,
-    /// decode outcomes) alongside the engine's MAC-level events.
-    pub fn observer(&self) -> Option<&dyn Observer> {
-        self.observer
+    /// Reports a protocol-level event (parent change, epoch switch, decode
+    /// outcome) to the engine's observer at the current time, alongside
+    /// the engine's MAC-level events. Without an observer this is one
+    /// untaken branch: inlined, the event is built only inside it.
+    #[inline]
+    pub fn emit(&self, ev: Event) {
+        if let Some(observer) = self.observer {
+            observer.on_event(self.now, &ev);
+        }
+    }
+
+    /// Reports a lifecycle span of `trace_id` at this node (see
+    /// [`Ctx::emit`]).
+    #[inline]
+    pub fn span(&self, trace_id: u64, phase: SpanPhase) {
+        self.emit(Event::Span(SpanEvent {
+            trace_id,
+            node: self.node.0,
+            phase,
+        }));
     }
 
     /// Queues a unicast frame to `dst`. `wire_bytes` must be the full

@@ -24,10 +24,12 @@
 //! * **deterministic fault injection** ([`fault`]): seeded frame
 //!   corruption, node crash/reboot schedules, and dissemination faults
 //!   that replay byte-identically and leave unfaulted runs untouched;
-//! * **structured observability** ([`obs`]): an [`obs::Observer`] hook
-//!   surface on the engine (tx/rx/ack/drop/timer plus protocol-level
-//!   parent-change, epoch-switch, and decode events), a JSONL tracer, and
-//!   a metrics registry — all guaranteed not to perturb simulation state.
+//! * **structured observability** ([`obs`]): one [`obs::Event`] stream
+//!   delivered to an [`obs::Observer`] (tx/rx/ack/drop/timer from the
+//!   engine, parent-change, epoch-switch and decode events that protocols
+//!   report through [`Ctx::emit`], and lifecycle spans), a JSONL tracer,
+//!   and a metrics registry — all guaranteed not to perturb simulation
+//!   state.
 //!
 //! Protocols (routing, Dophy itself) implement [`engine::Protocol`] and are
 //! driven by callbacks; see `dophy-routing` and `dophy` for the stacks built

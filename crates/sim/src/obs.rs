@@ -4,14 +4,15 @@
 //! channel did*; this module records *why a run behaved the way it did*.
 //! It has two halves:
 //!
-//! - **Event tracing.** The [`Observer`] trait receives structured,
-//!   sim-time-stamped events from the engine hot path (tx/rx/ack/drop/
-//!   timer) and from protocol layers (parent changes, model-epoch
-//!   switches, decode outcomes). Every hook has a no-op default, and the
-//!   engine holds an `Option<Arc<dyn Observer>>`, so an unobserved run
-//!   pays only an untaken branch per event. [`JsonlTracer`] is the
-//!   standard observer: it streams one JSON object per event to any
-//!   writer, with severity and category filtering.
+//! - **Event tracing.** [`Event`] names every observable event: those of
+//!   the engine hot path (tx/rx/ack/drop/timer), those protocol layers
+//!   report through [`crate::Ctx::emit`] (parent changes, model-epoch
+//!   switches, decode outcomes), and causal lifecycle spans. The
+//!   [`Observer`] trait receives each one, sim-time-stamped, through its
+//!   one method. The engine holds an `Option<Arc<dyn Observer>>`, so an
+//!   unobserved run pays only an untaken branch per event.
+//!   [`JsonlTracer`] is the standard observer: it streams one JSON object
+//!   per event to any writer, with a severity filter.
 //!
 //! - **Metrics.** [`MetricsRegistry`] holds named counters, gauges, and
 //!   histograms with static label sets, and snapshots them into a
@@ -303,7 +304,7 @@ pub struct SpanEvent {
 }
 
 /// Any observable event, tagged by kind.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Event {
     /// Transmission attempt.
     Tx(TxEvent),
@@ -336,7 +337,7 @@ pub enum Severity {
     Warn,
 }
 
-/// Which subsystem an event belongs to, for category filtering.
+/// Which subsystem an event belongs to (the `category` of its trace line).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Category {
     /// MAC/channel events (tx, rx, ack, link drops).
@@ -376,7 +377,7 @@ impl Event {
         }
     }
 
-    /// Subsystem category of this event for filtering.
+    /// Subsystem category of this event.
     #[must_use]
     pub fn category(&self) -> Category {
         match self {
@@ -400,30 +401,14 @@ impl Event {
 
 /// Receives structured events from the engine and protocol layers.
 ///
-/// Every hook defaults to a no-op, so observers implement only what they
-/// care about. Hooks take `&self`: observers are shared (`Arc`) across
-/// the engine and protocol layers and must do their own interior
+/// An observer matches on the [`Event`] kinds it cares about and ignores
+/// the rest. `on_event` takes `&self`: observers are shared (`Arc`)
+/// across the engine and protocol layers and must do their own interior
 /// synchronisation. They receive plain data and cannot perturb the
 /// simulation.
 pub trait Observer: Send + Sync {
-    /// A physical transmission attempt started/resolved.
-    fn on_tx(&self, _now: SimTime, _ev: &TxEvent) {}
-    /// A frame copy was delivered to a protocol.
-    fn on_rx(&self, _now: SimTime, _ev: &RxEvent) {}
-    /// A link-layer ACK attempt resolved.
-    fn on_ack(&self, _now: SimTime, _ev: &AckEvent) {}
-    /// A frame or exchange was dropped.
-    fn on_drop(&self, _now: SimTime, _ev: &DropEvent) {}
-    /// A protocol timer fired.
-    fn on_timer(&self, _now: SimTime, _ev: &TimerEvent) {}
-    /// A node adopted a (new) routing parent.
-    fn on_parent_change(&self, _now: SimTime, _ev: &ParentChangeEvent) {}
-    /// The sink published a new model epoch.
-    fn on_epoch_switch(&self, _now: SimTime, _ev: &EpochSwitchEvent) {}
-    /// A sink-side decode finished.
-    fn on_decode(&self, _now: SimTime, _ev: &DecodeEvent) {}
-    /// A causal lifecycle span was recorded for a traced object.
-    fn on_span(&self, _now: SimTime, _ev: &SpanEvent) {}
+    /// `ev` happened at simulated time `now`.
+    fn on_event(&self, now: SimTime, ev: &Event);
 }
 
 // ---------------------------------------------------------------------------
@@ -446,14 +431,12 @@ pub struct TraceRecord {
 /// Observer streaming events as JSON Lines to a writer.
 ///
 /// Each retained event becomes one [`TraceRecord`] serialized on its own
-/// line. Events below the minimum severity, or outside the category
-/// allow-list (when one is set), are skipped before any serialization
-/// work happens. Write errors are counted, not propagated — tracing must
-/// never abort a simulation.
+/// line. Events below the minimum severity are skipped before any
+/// serialization work happens. Write errors are counted, not propagated —
+/// tracing must never abort a simulation.
 pub struct JsonlTracer<W: Write + Send> {
     out: Mutex<W>,
     min_severity: Severity,
-    categories: Option<Vec<Category>>,
     lines: AtomicU64,
     io_errors: AtomicU64,
 }
@@ -464,7 +447,6 @@ impl<W: Write + Send> JsonlTracer<W> {
         Self {
             out: Mutex::new(out),
             min_severity: Severity::Debug,
-            categories: None,
             lines: AtomicU64::new(0),
             io_errors: AtomicU64::new(0),
         }
@@ -474,13 +456,6 @@ impl<W: Write + Send> JsonlTracer<W> {
     #[must_use]
     pub fn with_min_severity(mut self, min: Severity) -> Self {
         self.min_severity = min;
-        self
-    }
-
-    /// Keeps only events whose category is in `cats`.
-    #[must_use]
-    pub fn with_categories(mut self, cats: Vec<Category>) -> Self {
-        self.categories = Some(cats);
         self
     }
 
@@ -513,16 +488,10 @@ impl<W: Write + Send> JsonlTracer<W> {
         if severity < self.min_severity {
             return;
         }
-        let category = event.category();
-        if let Some(cats) = &self.categories {
-            if !cats.contains(&category) {
-                return;
-            }
-        }
         let record = TraceRecord {
             t_us: now.as_micros(),
             severity,
-            category,
+            category: event.category(),
             event,
         };
         let Ok(line) = serde_json::to_string(&record) else {
@@ -539,40 +508,8 @@ impl<W: Write + Send> JsonlTracer<W> {
 }
 
 impl<W: Write + Send> Observer for JsonlTracer<W> {
-    fn on_tx(&self, now: SimTime, ev: &TxEvent) {
-        self.emit(now, Event::Tx(*ev));
-    }
-
-    fn on_rx(&self, now: SimTime, ev: &RxEvent) {
-        self.emit(now, Event::Rx(*ev));
-    }
-
-    fn on_ack(&self, now: SimTime, ev: &AckEvent) {
-        self.emit(now, Event::Ack(*ev));
-    }
-
-    fn on_drop(&self, now: SimTime, ev: &DropEvent) {
-        self.emit(now, Event::Drop(*ev));
-    }
-
-    fn on_timer(&self, now: SimTime, ev: &TimerEvent) {
-        self.emit(now, Event::Timer(*ev));
-    }
-
-    fn on_parent_change(&self, now: SimTime, ev: &ParentChangeEvent) {
-        self.emit(now, Event::ParentChange(*ev));
-    }
-
-    fn on_epoch_switch(&self, now: SimTime, ev: &EpochSwitchEvent) {
-        self.emit(now, Event::EpochSwitch(*ev));
-    }
-
-    fn on_decode(&self, now: SimTime, ev: &DecodeEvent) {
-        self.emit(now, Event::Decode(*ev));
-    }
-
-    fn on_span(&self, now: SimTime, ev: &SpanEvent) {
-        self.emit(now, Event::Span(*ev));
+    fn on_event(&self, now: SimTime, ev: &Event) {
+        self.emit(now, *ev);
     }
 }
 
@@ -618,7 +555,8 @@ pub struct CountingObserver {
     epoch_switches: AtomicU64,
     decodes: AtomicU64,
     spans: AtomicU64,
-    /// Events per directed link `(src, dst)` (tx attempts + acks + drops).
+    /// Events per directed link `(src, dst)`: unicast tx attempts,
+    /// deliveries, acks and drops with a known destination.
     link_events: Mutex<BTreeMap<(u32, u32), u64>>,
 }
 
@@ -653,55 +591,25 @@ impl CountingObserver {
         v.truncate(top);
         v
     }
-
-    fn bump_link(&self, src: u32, dst: u32) {
-        *self.link_events.lock().entry((src, dst)).or_insert(0) += 1;
-    }
 }
 
 impl Observer for CountingObserver {
-    fn on_tx(&self, _now: SimTime, ev: &TxEvent) {
-        self.tx.fetch_add(1, Ordering::Relaxed);
-        if let Some(dst) = ev.dst {
-            self.bump_link(ev.src, dst);
+    fn on_event(&self, _now: SimTime, ev: &Event) {
+        let (count, link) = match ev {
+            Event::Tx(e) => (&self.tx, e.dst.map(|dst| (e.src, dst))),
+            Event::Rx(e) => (&self.rx, Some((e.src, e.dst))),
+            Event::Ack(e) => (&self.ack, Some((e.src, e.dst))),
+            Event::Drop(e) => (&self.drops, e.dst.map(|dst| (e.node, dst))),
+            Event::Timer(_) => (&self.timers, None),
+            Event::ParentChange(_) => (&self.parent_changes, None),
+            Event::EpochSwitch(_) => (&self.epoch_switches, None),
+            Event::Decode(_) => (&self.decodes, None),
+            Event::Span(_) => (&self.spans, None),
+        };
+        count.fetch_add(1, Ordering::Relaxed);
+        if let Some(link) = link {
+            *self.link_events.lock().entry(link).or_insert(0) += 1;
         }
-    }
-
-    fn on_rx(&self, _now: SimTime, ev: &RxEvent) {
-        self.rx.fetch_add(1, Ordering::Relaxed);
-        self.bump_link(ev.src, ev.dst);
-    }
-
-    fn on_ack(&self, _now: SimTime, ev: &AckEvent) {
-        self.ack.fetch_add(1, Ordering::Relaxed);
-        self.bump_link(ev.src, ev.dst);
-    }
-
-    fn on_drop(&self, _now: SimTime, ev: &DropEvent) {
-        self.drops.fetch_add(1, Ordering::Relaxed);
-        if let Some(dst) = ev.dst {
-            self.bump_link(ev.node, dst);
-        }
-    }
-
-    fn on_timer(&self, _now: SimTime, _ev: &TimerEvent) {
-        self.timers.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn on_parent_change(&self, _now: SimTime, _ev: &ParentChangeEvent) {
-        self.parent_changes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn on_epoch_switch(&self, _now: SimTime, _ev: &EpochSwitchEvent) {
-        self.epoch_switches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn on_decode(&self, _now: SimTime, _ev: &DecodeEvent) {
-        self.decodes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn on_span(&self, _now: SimTime, _ev: &SpanEvent) {
-        self.spans.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -720,57 +628,9 @@ impl MultiObserver {
 }
 
 impl Observer for MultiObserver {
-    fn on_tx(&self, now: SimTime, ev: &TxEvent) {
+    fn on_event(&self, now: SimTime, ev: &Event) {
         for o in &self.observers {
-            o.on_tx(now, ev);
-        }
-    }
-
-    fn on_rx(&self, now: SimTime, ev: &RxEvent) {
-        for o in &self.observers {
-            o.on_rx(now, ev);
-        }
-    }
-
-    fn on_ack(&self, now: SimTime, ev: &AckEvent) {
-        for o in &self.observers {
-            o.on_ack(now, ev);
-        }
-    }
-
-    fn on_drop(&self, now: SimTime, ev: &DropEvent) {
-        for o in &self.observers {
-            o.on_drop(now, ev);
-        }
-    }
-
-    fn on_timer(&self, now: SimTime, ev: &TimerEvent) {
-        for o in &self.observers {
-            o.on_timer(now, ev);
-        }
-    }
-
-    fn on_parent_change(&self, now: SimTime, ev: &ParentChangeEvent) {
-        for o in &self.observers {
-            o.on_parent_change(now, ev);
-        }
-    }
-
-    fn on_epoch_switch(&self, now: SimTime, ev: &EpochSwitchEvent) {
-        for o in &self.observers {
-            o.on_epoch_switch(now, ev);
-        }
-    }
-
-    fn on_decode(&self, now: SimTime, ev: &DecodeEvent) {
-        for o in &self.observers {
-            o.on_decode(now, ev);
-        }
-    }
-
-    fn on_span(&self, now: SimTime, ev: &SpanEvent) {
-        for o in &self.observers {
-            o.on_span(now, ev);
+            o.on_event(now, ev);
         }
     }
 }
@@ -921,40 +781,8 @@ impl FlightRecorder {
 }
 
 impl Observer for FlightRecorder {
-    fn on_tx(&self, now: SimTime, ev: &TxEvent) {
-        self.record(now, Event::Tx(*ev));
-    }
-
-    fn on_rx(&self, now: SimTime, ev: &RxEvent) {
-        self.record(now, Event::Rx(*ev));
-    }
-
-    fn on_ack(&self, now: SimTime, ev: &AckEvent) {
-        self.record(now, Event::Ack(*ev));
-    }
-
-    fn on_drop(&self, now: SimTime, ev: &DropEvent) {
-        self.record(now, Event::Drop(*ev));
-    }
-
-    fn on_timer(&self, now: SimTime, ev: &TimerEvent) {
-        self.record(now, Event::Timer(*ev));
-    }
-
-    fn on_parent_change(&self, now: SimTime, ev: &ParentChangeEvent) {
-        self.record(now, Event::ParentChange(*ev));
-    }
-
-    fn on_epoch_switch(&self, now: SimTime, ev: &EpochSwitchEvent) {
-        self.record(now, Event::EpochSwitch(*ev));
-    }
-
-    fn on_decode(&self, now: SimTime, ev: &DecodeEvent) {
-        self.record(now, Event::Decode(*ev));
-    }
-
-    fn on_span(&self, now: SimTime, ev: &SpanEvent) {
-        self.record(now, Event::Span(*ev));
+    fn on_event(&self, now: SimTime, ev: &Event) {
+        self.record(now, *ev);
     }
 }
 
@@ -1241,24 +1069,24 @@ mod tests {
     fn tracer_filters_and_emits_parseable_lines() {
         let tracer = JsonlTracer::new(Vec::new()).with_min_severity(Severity::Info);
         let now = t(42);
-        tracer.on_tx(
+        tracer.on_event(
             now,
-            &TxEvent {
+            &Event::Tx(TxEvent {
                 src: 1,
                 dst: Some(0),
                 attempt: 1,
                 bytes: 40,
                 ok: true,
-            },
+            }),
         );
-        tracer.on_parent_change(
+        tracer.on_event(
             now,
-            &ParentChangeEvent {
+            &Event::ParentChange(ParentChangeEvent {
                 node: 3,
                 old_parent: None,
                 new_parent: 0,
                 etx: 1.5,
-            },
+            }),
         );
         assert_eq!(tracer.lines_written(), 1, "debug tx must be filtered");
         let buf = tracer.into_inner();
@@ -1303,8 +1131,8 @@ mod tests {
                 reason: DropReason::LinkExhausted,
             },
         };
-        tracer.on_span(now, &ok_span);
-        tracer.on_span(now, &drop_span);
+        tracer.on_event(now, &Event::Span(ok_span));
+        tracer.on_event(now, &Event::Span(drop_span));
         assert_eq!(tracer.lines_written(), 1, "debug span must be filtered");
         let text = String::from_utf8(tracer.into_inner()).unwrap();
         let rec: TraceRecord = serde_json::from_str(text.trim()).unwrap();
@@ -1319,24 +1147,24 @@ mod tests {
         let now = t(1);
         // More events than capacity: only the newest four must survive.
         for seq in 0..8u32 {
-            rec.on_span(
+            rec.on_event(
                 now,
-                &SpanEvent {
+                &Event::Span(SpanEvent {
                     trace_id: data_trace_id(1, seq),
                     node: 1,
                     phase: SpanPhase::Origin,
-                },
+                }),
             );
         }
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             for seq in 8..10u32 {
-                rec.on_span(
+                rec.on_event(
                     now,
-                    &SpanEvent {
+                    &Event::Span(SpanEvent {
                         trace_id: data_trace_id(1, seq),
                         node: 1,
                         phase: SpanPhase::Origin,
-                    },
+                    }),
                 );
             }
             panic!("injected failure");
@@ -1380,26 +1208,26 @@ mod tests {
         let c = CountingObserver::new();
         let now = t(0);
         for _ in 0..3 {
-            c.on_tx(
+            c.on_event(
                 now,
-                &TxEvent {
+                &Event::Tx(TxEvent {
                     src: 1,
                     dst: Some(0),
                     attempt: 1,
                     bytes: 40,
                     ok: false,
-                },
+                }),
             );
         }
-        c.on_rx(
+        c.on_event(
             now,
-            &RxEvent {
+            &Event::Rx(RxEvent {
                 src: 2,
                 dst: 0,
                 attempt: 1,
                 bytes: 40,
                 broadcast: false,
-            },
+            }),
         );
         let top = c.noisiest_links(5);
         assert_eq!(top[0], ((1, 0), 3));
