@@ -49,7 +49,7 @@
 use dophy::diagnosis::{DiagnosisConfig, NetworkHealthReport};
 use dophy::infer::EstimatorKind;
 use dophy::protocol::build_sharded_simulation;
-use dophy_bench::{execute_cell, resolve_jobs, telemetry, FaultSummary, Instruments, RunSpec};
+use dophy_bench::{execute_cell, telemetry, FaultSummary, Instruments, RunSpec};
 use dophy_sim::obs::{FlightRecorder, JsonlTracer, FLIGHT_RECORDER_DEFAULT_CAPACITY};
 use dophy_sim::ChromeTracer;
 use dophy_sim::SimTime;
@@ -118,12 +118,11 @@ struct Cli {
     flight_recorder: Option<PathBuf>,
     metrics_out: Option<PathBuf>,
     metrics_every_s: f64,
-    jobs: Option<usize>,
     shards: Option<u16>,
     estimator: EstimatorKind,
 }
 
-const USAGE: &str = "usage: dophy-run <scenario.json> [--text] [--progress] [--jobs N] \
+const USAGE: &str = "usage: dophy-run <scenario.json> [--text] [--progress] \
 [--shards N] [--estimator in-band|minc|sparse-l1] \
 [--trace-out <path>] [--trace-format jsonl|chrome] [--trace-sample N] \
 [--profile <path>] [--flight-recorder <path>] \
@@ -142,7 +141,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         flight_recorder: None,
         metrics_out: None,
         metrics_every_s: 60.0,
-        jobs: None,
         shards: None,
         estimator: EstimatorKind::InBand,
     };
@@ -195,15 +193,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                 cli.shards = Some(
                     raw.parse::<u16>()
                         .map_err(|_| format!("--shards wants a small integer, got {raw}"))?,
-                );
-            }
-            "--jobs" | "-j" => {
-                let raw = value(&mut i)?;
-                cli.jobs = Some(
-                    raw.parse::<usize>()
-                        .ok()
-                        .filter(|j| *j > 0)
-                        .ok_or_else(|| format!("--jobs wants a positive integer, got {raw}"))?,
                 );
             }
             _ if arg.starts_with('-') => return Err(format!("unknown flag {arg}")),
@@ -284,7 +273,7 @@ fn run(cli: Cli) -> Result<(), String> {
     // A single scenario is one cell, but it rides the same executor path
     // (pool + cache + panic isolation) as the experiments harness, so both
     // binaries exercise identical machinery.
-    let run_result = execute_cell("dophy-run", spec, inst, resolve_jobs(cli.jobs, 1));
+    let run_result = execute_cell("dophy-run", spec, inst);
     // Close the trace even when the run failed: a truncated Chrome array
     // is unreadable, and a partial trace of a crashed run is exactly when
     // you want the file to open.

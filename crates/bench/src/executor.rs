@@ -487,12 +487,11 @@ pub fn execute_plans(plans: Vec<Plan>, jobs: usize) -> SuiteOutcome {
 
 /// Runs one spec on the executor path (pool + cache + panic isolation) —
 /// how `dophy-run` executes its scenario, so both binaries exercise the
-/// same machinery.
+/// same machinery. One cell saturates one worker, so the pool has one.
 pub fn execute_cell(
     label: &str,
     spec: RunSpec,
     instruments: Instruments,
-    jobs: usize,
 ) -> Result<Arc<RunOutput>, String> {
     let shared = Shared {
         queue: Mutex::new(VecDeque::from([Task {
@@ -515,9 +514,6 @@ pub fn execute_cell(
         metrics: Mutex::new(MetricsRegistry::new()),
         t0: Instant::now(),
     };
-    // One cell saturates one worker; `jobs` is accepted so both binaries
-    // share a CLI surface, but the pool never overshoots the queue.
-    let _ = jobs;
     std::thread::scope(|s| {
         s.spawn(|| shared.worker());
     });

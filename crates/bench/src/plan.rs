@@ -63,17 +63,6 @@ impl Cell {
             },
         }
     }
-
-    /// Simulation cell with observability attached (bypasses the cache).
-    pub fn instrumented(label: impl Into<String>, spec: RunSpec, instruments: Instruments) -> Self {
-        Self {
-            label: label.into(),
-            work: CellWork::Run {
-                spec: Box::new(spec),
-                instruments,
-            },
-        }
-    }
 }
 
 /// A finished cell's output, as handed to the reduce closure.

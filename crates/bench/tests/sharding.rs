@@ -77,20 +77,14 @@ fn figure(out: &RunOutput) -> FigureResult {
 fn figure_json_is_byte_identical_across_shard_counts() {
     // Same seed, shards=1 vs shards=N, through the real executor path
     // (pool + cache): the serialized figures must match byte for byte.
-    let base = execute_cell(
-        "shards=1",
-        spec(11).with_shards(1),
-        Instruments::default(),
-        1,
-    )
-    .expect("sharded run succeeds");
+    let base = execute_cell("shards=1", spec(11).with_shards(1), Instruments::default())
+        .expect("sharded run succeeds");
     let json_base = serde_json::to_string(&figure(&base)).unwrap();
     for shards in [3, 6] {
         let out = execute_cell(
             "shards=n",
             spec(11).with_shards(shards),
             Instruments::default(),
-            1,
         )
         .expect("sharded run succeeds");
         let json = serde_json::to_string(&figure(&out)).unwrap();

@@ -102,7 +102,7 @@ pub fn capture(base: &RunSpec, sims: usize, jobs: usize) -> Result<Firehose, Str
                     ..Instruments::default()
                 };
                 let label = format!("firehose-sim{k}");
-                let res = execute_cell(&label, spec, inst, 1).map(|out| {
+                let res = execute_cell(&label, spec, inst).map(|out| {
                     let events = std::mem::take(&mut *buffer.lock());
                     (events, out.overhead.packets)
                 });

@@ -15,9 +15,9 @@
 //!
 //! The router owns the *global* evidence clock: one sequence number and
 //! the running max evidence timestamp. Shards are built with
-//! self-publishing disabled (`publish_every = u64::MAX`) and publish only
-//! when the router runs a **barrier**: every shard cuts a snapshot via
-//! [`EstimateStore::publish_now_at`] with the router's global `now`, and
+//! self-publishing disabled (`publish_every = u64::MAX`) and never
+//! publish. When the router runs a **barrier**, every shard cuts a
+//! snapshot at the router's global `now` (`EstimateStore::cut_at`), and
 //! the router merges the shard cuts into one canonical [`StoreSnapshot`]
 //! and publishes it atomically. Readers therefore never observe shard A
 //! at generation `g+1` next to shard B at `g` — the cut is untorn by
@@ -46,8 +46,8 @@
 //! by a channel, so heavy evidence streams are no longer single-writer
 //! bound: the router only routes (a range lookup) while shards do the
 //! backend work in parallel. Barriers block the router until every shard
-//! acknowledges its cut with the published snapshot — the same consistent
-//! cut as inline ingest, arrived at concurrently.
+//! has sent back its cut — the same consistent cut as inline ingest,
+//! arrived at concurrently.
 
 use crate::proto::{
     answer_from_snapshot, Request, Response, ServeStore, ServiceStats, TomographyView,
@@ -241,11 +241,8 @@ impl ShardedStore {
     /// Inline barrier: cut every shard at the global clock and publish
     /// the merged cut. Caller holds the clock lock.
     fn barrier_inline(&self, clock: &RouterClock) -> Arc<StoreSnapshot> {
-        let snaps: Vec<Arc<StoreSnapshot>> = self
-            .shards
-            .iter()
-            .map(|s| s.publish_now_at(clock.now))
-            .collect();
+        let snaps: Vec<Arc<StoreSnapshot>> =
+            self.shards.iter().map(|s| s.cut_at(clock.now)).collect();
         self.assemble(clock, &snaps)
     }
 
@@ -273,7 +270,7 @@ impl ShardedStore {
                                 shard.ingest(ev);
                             }
                             ShardMsg::Cut { now } => {
-                                if snap_tx.send(shard.publish_now_at(now)).is_err() {
+                                if snap_tx.send(shard.cut_at(now)).is_err() {
                                     return;
                                 }
                             }

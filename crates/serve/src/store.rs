@@ -450,19 +450,18 @@ impl EstimateStore {
         snap
     }
 
-    /// Forces a publish cut at an externally supplied query time (never
-    /// earlier than the newest ingested evidence). The sharded router
-    /// uses this so every shard ages TTLs and windows against the same
-    /// global clock, which is what keeps a merged cut byte-identical to
+    /// Cuts the next generation at an externally supplied query time
+    /// (never earlier than the newest ingested evidence) without
+    /// publishing it. The sharded router cuts every shard this way, so
+    /// each ages TTLs and windows against the same global clock — which
+    /// keeps the merged cut, the only one it publishes, byte-identical to
     /// a single store at the same evidence seq.
-    pub fn publish_now_at(&self, now: SimTime) -> Arc<StoreSnapshot> {
+    pub(crate) fn cut_at(&self, now: SimTime) -> Arc<StoreSnapshot> {
         let mut g = self.ingest.lock();
         if now > g.now {
             g.now = now;
         }
-        let snap = g.publish();
-        *self.published.write() = Arc::clone(&snap);
-        snap
+        g.publish()
     }
 
     /// The current published snapshot. Never blocks ingest beyond the
