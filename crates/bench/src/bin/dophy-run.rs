@@ -20,8 +20,13 @@
 //!
 //! `--estimator in-band|minc|sparse-l1` selects which inference backend's
 //! snapshot fills the `links` table and `estimator_mae` (default
-//! `in-band`). Every backend runs inside the same (cached) simulation —
-//! the flag is a read-side choice and never re-runs anything.
+//! `in-band`). Every backend runs inside the same simulation — the flag is
+//! a read-side choice and never re-runs anything.
+//!
+//! `--text` prints the operator-facing health report before the summary.
+//! The run captures its evidence stream, and the report reads a fresh
+//! inference stack that replays it, so it describes exactly the run the
+//! summary does, faults included.
 //!
 //! Observability flags (all optional, none change the results):
 //!
@@ -43,13 +48,12 @@
 //! * `--progress` — print a heartbeat (events/sec, sim-vs-wall ratio,
 //!   % complete) to stderr after every attribution window.
 //!
-//! Each run also appends hot-loop telemetry (events/sec) to
-//! `target/BENCH_telemetry.json` so perf changes leave a trail.
+//! Every run ends with one `telemetry:` line on stderr: events, loop wall
+//! time, events/sec, sim-vs-wall ratio and process peak RSS.
 
 use dophy::diagnosis::{DiagnosisConfig, NetworkHealthReport};
-use dophy::infer::EstimatorKind;
-use dophy::protocol::build_sharded_simulation;
-use dophy_bench::{execute_cell, telemetry, FaultSummary, Instruments, RunSpec};
+use dophy::infer::{EstimatorKind, Inference};
+use dophy_bench::{execute_cell, FaultSummary, Instruments, RunSpec};
 use dophy_sim::obs::{FlightRecorder, JsonlTracer, FLIGHT_RECORDER_DEFAULT_CAPACITY};
 use dophy_sim::ChromeTracer;
 use dophy_sim::SimTime;
@@ -261,7 +265,7 @@ fn run(cli: Cli) -> Result<(), String> {
         progress: cli.progress,
         profile: cli.profile_out.is_some(),
         flight_recorder: recorder,
-        ..Instruments::default()
+        evidence: cli.text.then(Default::default),
     };
 
     eprintln!(
@@ -270,10 +274,8 @@ fn run(cli: Cli) -> Result<(), String> {
         spec.duration.as_secs_f64(),
         spec.sim.seed
     );
-    // A single scenario is one cell, but it rides the same executor path
-    // (pool + cache + panic isolation) as the experiments harness, so both
-    // binaries exercise identical machinery.
-    let run_result = execute_cell("dophy-run", spec, inst);
+    let evidence = inst.evidence.clone();
+    let run_result = execute_cell("dophy-run", &spec, inst);
     // Close the trace even when the run failed: a truncated Chrome array
     // is unreadable, and a partial trace of a crashed run is exactly when
     // you want the file to open.
@@ -336,17 +338,17 @@ fn run(cli: Cli) -> Result<(), String> {
     }
     let t = &out.telemetry;
     eprintln!(
-        "telemetry: {} events in {:.2} s wall ({:.0} ev/s, sim/wall {:.0}x)",
-        t.events_processed, t.wall_seconds, t.events_per_sec, t.sim_wall_ratio
+        "telemetry: {} events in {:.2} s wall ({:.0} ev/s, sim/wall {:.0}x, peak RSS {:.1} MiB)",
+        t.events_processed,
+        t.wall_seconds,
+        t.events_per_sec,
+        t.sim_wall_ratio,
+        t.peak_rss_bytes as f64 / (1024.0 * 1024.0)
     );
-    if let Err(e) = telemetry::write_bench_file(Path::new("target/BENCH_telemetry.json")) {
-        eprintln!("warning: could not write target/BENCH_telemetry.json: {e}");
-    }
 
     // `--estimator` picks which backend's snapshot is reported; every
-    // backend ingested the (cached) simulation's evidence and an
-    // end-to-end one is solved when read, so switching backends never
-    // re-runs or invalidates anything.
+    // backend ingested the simulation's evidence and an end-to-end one is
+    // solved when read, so switching backends never re-runs anything.
     let selected = match cli.estimator {
         EstimatorKind::InBand => &out.dophy,
         EstimatorKind::Minc => out.minc(),
@@ -381,15 +383,18 @@ fn run(cli: Cli) -> Result<(), String> {
         links,
     };
 
-    if cli.text {
-        // Also produce the operator-facing health report from a dedicated
-        // run of the same scenario (run_scenario consumes its engine).
-        let (mut engine, shared) =
-            build_sharded_simulation(&spec.sim, &spec.dophy, spec.shards.unwrap_or(1));
-        engine.start();
-        engine.run_for(spec.duration);
+    if let Some(evidence) = evidence {
+        // The backends are pure functions of the evidence stream, so the
+        // replayed stack holds the live sink's estimator state.
+        let mut infer = Inference::new(spec.dophy.tracking);
+        for ev in evidence.lock().iter() {
+            infer.observe(ev);
+        }
         let health = NetworkHealthReport::generate(
-            &shared.lock(),
+            &infer,
+            &out.overhead,
+            &out.decode,
+            Some(out.delivery_ratio),
             SimTime::ZERO + spec.duration,
             &DiagnosisConfig {
                 max_attempts: spec.sim.mac.max_attempts,

@@ -11,8 +11,8 @@
 //! machine's cores); byte-equal scenarios execute once via the
 //! content-addressed run cache. Results print as aligned text tables and
 //! are saved as JSON under `target/experiments/`, together with
-//! `BENCH_telemetry.json` (per-run engine telemetry) and
-//! `BENCH_harness.json` (pool/cache/per-experiment execution telemetry).
+//! `BENCH_harness.json` (pool/cache/per-experiment execution telemetry,
+//! plus the engine telemetry of every simulation the suite executed).
 
 use dophy_bench::executor::{execute_plans, resolve_jobs};
 use dophy_bench::figures::{registry, Experiment};
@@ -137,11 +137,6 @@ fn main() {
     );
 
     let out_dir = std::path::Path::new("target/experiments");
-    let bench_path = out_dir.join("BENCH_telemetry.json");
-    match dophy_bench::telemetry::write_bench_file(&bench_path) {
-        Ok(()) => eprintln!("telemetry saved to {}", bench_path.display()),
-        Err(e) => eprintln!("could not write {}: {e}", bench_path.display()),
-    }
     let harness_path = out_dir.join("BENCH_harness.json");
     match serde_json::to_string_pretty(rep)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))

@@ -1,9 +1,9 @@
 //! Shared bounded worker pool + content-addressed run cache for
-//! experiment [`Plan`]s.
+//! experiment [`Plan`]s, and [`execute_cell`], the harness's one run call.
 //!
 //! All cells of all selected experiments are flattened into one queue and
 //! drained by a bounded pool (default `min(available cores, cells)`,
-//! overridable with `--jobs N` / `DOPHY_JOBS`). Cacheable cells are
+//! overridable with `--jobs N` / `DOPHY_JOBS`). Run cells are
 //! content-addressed by [`cache_key`] — a stable FNV-1a hash over the
 //! [`RunSpec`] (every float in the config tree hashes its raw bits) — so
 //! experiments that deliberately share a canonical scenario execute it
@@ -24,11 +24,14 @@
 //! The pool feeds the PR-1 observability layer: a
 //! [`MetricsRegistry`] tracks pool-depth gauges, cache hit/miss
 //! counters, and per-cell wall-time histograms, snapshotted after every
-//! cell into the [`HarnessReport`] exported as `BENCH_harness.json`.
+//! cell into the [`HarnessReport`] exported as `BENCH_harness.json`,
+//! which also carries the [`RunTelemetry`] of every simulation the suite
+//! executed.
 
 use crate::plan::{CellOutput, CellWork, Plan};
 use crate::report::FigureResult;
-use crate::scenario::{run_scenario, run_scenario_with, Instruments, RunOutput, RunSpec};
+use crate::scenario::{run_scenario_with, Instruments, RunOutput, RunSpec};
+use crate::telemetry::RunTelemetry;
 use dophy_sim::obs::{MetricsRegistry, MetricsSnapshot};
 use dophy_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -123,6 +126,9 @@ pub struct CellRecord {
     pub started_s: f64,
     /// Wall-clock seconds the cell occupied a worker.
     pub wall_seconds: f64,
+    /// Engine telemetry of the simulation this cell executed; `None` for
+    /// cache hits and custom cells.
+    pub telemetry: Option<RunTelemetry>,
 }
 
 /// Telemetry for one experiment (its cells plus the reduce).
@@ -148,11 +154,11 @@ pub struct HarnessReport {
     pub jobs: usize,
     /// End-to-end suite wall-clock (cells + reduces), seconds.
     pub suite_wall_seconds: f64,
-    /// Simulations actually executed for cacheable cells (= cache misses).
+    /// Simulations actually executed for run cells (= cache misses).
     pub unique_runs: u64,
-    /// Cacheable cells served from the cache.
+    /// Run cells served from the cache.
     pub cache_hits: u64,
-    /// Cacheable cells that had to execute.
+    /// Run cells that had to execute.
     pub cache_misses: u64,
     /// Largest number of simultaneously busy workers observed.
     pub max_pool_depth: usize,
@@ -236,15 +242,6 @@ fn catch<T>(label: &str, f: impl FnOnce() -> T) -> Result<T, String> {
     })
 }
 
-fn cacheable(inst: &Instruments) -> bool {
-    inst.observer.is_none()
-        && inst.metrics_every.is_none()
-        && !inst.progress
-        && !inst.profile
-        && inst.flight_recorder.is_none()
-        && inst.evidence.is_none()
-}
-
 impl Shared {
     fn wall_now(&self) -> SimTime {
         // Executor metrics live in wall time; reuse the sim-time axis as
@@ -257,19 +254,7 @@ impl Shared {
     fn execute_work(&self, label: &str, work: CellWork) -> (Result<CellOutput, String>, bool) {
         match work {
             CellWork::Custom(f) => (catch(label, f).map(CellOutput::Figure), false),
-            CellWork::Run { spec, instruments } => {
-                if !cacheable(&instruments) {
-                    // Clone the recorder handle before the instruments move
-                    // into the cell: if the run panics, the ring still holds
-                    // the event tail for the postmortem dump.
-                    let recorder = instruments.flight_recorder.clone();
-                    let res = catch(label, move || run_scenario_with(&spec, instruments))
-                        .map(|o| CellOutput::Run(Arc::new(o)));
-                    if let (Err(e), Some(rec)) = (&res, recorder) {
-                        rec.dump_postmortem(label, e);
-                    }
-                    return (res, false);
-                }
+            CellWork::Run(spec) => {
                 let key = cache_key(&spec);
                 enum Claim {
                     Owner,
@@ -303,7 +288,7 @@ impl Shared {
                     Claim::Owner => {
                         self.cache_misses.fetch_add(1, Ordering::SeqCst);
                         lock(&self.metrics).inc_counter("executor.cache_misses", &[], 1);
-                        let res = catch(label, move || run_scenario(&spec)).map(Arc::new);
+                        let res = execute_cell(label, &spec, Instruments::default()).map(Arc::new);
                         let mut cache = lock(&self.cache);
                         cache.insert(
                             key,
@@ -336,6 +321,10 @@ impl Shared {
             let (result, cached) = self.execute_work(&task.label, task.work);
             let wall_seconds = self.t0.elapsed().as_secs_f64() - started_s;
             let ok = result.is_ok();
+            let telemetry = match &result {
+                Ok(CellOutput::Run(out)) if !cached => Some(out.telemetry),
+                _ => None,
+            };
             let depth_after = self.busy.fetch_sub(1, Ordering::SeqCst) - 1;
             {
                 let mut m = lock(&self.metrics);
@@ -355,6 +344,7 @@ impl Shared {
                 ok,
                 started_s,
                 wall_seconds,
+                telemetry,
             });
         }
     }
@@ -485,45 +475,25 @@ pub fn execute_plans(plans: Vec<Plan>, jobs: usize) -> SuiteOutcome {
     }
 }
 
-/// Runs one spec on the executor path (pool + cache + panic isolation) —
-/// how `dophy-run` executes its scenario, so both binaries exercise the
-/// same machinery. One cell saturates one worker, so the pool has one.
+/// Runs one spec on the caller's thread with panic isolation: the
+/// harness's one run call. The pool's cache misses, `dophy-run` and the
+/// serving firehose all execute their simulations through it.
+///
+/// A panicking run becomes an `Err` naming `label`; when a flight
+/// recorder is attached, it dumps its postmortem first.
 pub fn execute_cell(
     label: &str,
-    spec: RunSpec,
+    spec: &RunSpec,
     instruments: Instruments,
-) -> Result<Arc<RunOutput>, String> {
-    let shared = Shared {
-        queue: Mutex::new(VecDeque::from([Task {
-            slot: 0,
-            experiment: "dophy-run",
-            label: label.to_string(),
-            work: CellWork::Run {
-                spec: Box::new(spec),
-                instruments,
-            },
-        }])),
-        slots: vec![Mutex::new(None)],
-        cache: Mutex::new(HashMap::new()),
-        cache_ready: Condvar::new(),
-        busy: AtomicUsize::new(0),
-        max_depth: AtomicUsize::new(0),
-        cache_hits: AtomicU64::new(0),
-        cache_misses: AtomicU64::new(0),
-        records: Mutex::new(Vec::new()),
-        metrics: Mutex::new(MetricsRegistry::new()),
-        t0: Instant::now(),
-    };
-    std::thread::scope(|s| {
-        s.spawn(|| shared.worker());
-    });
-    let result = lock(&shared.slots[0]).take();
-    match result {
-        Some(Ok(CellOutput::Run(out))) => Ok(out),
-        Some(Ok(CellOutput::Figure(_))) => unreachable!("run cell yields a run output"),
-        Some(Err(e)) => Err(e),
-        None => Err(format!("cell '{label}' never executed")),
+) -> Result<RunOutput, String> {
+    // Clone the recorder handle before the instruments move into the run:
+    // if the run panics, the ring still holds the event tail.
+    let recorder = instruments.flight_recorder.clone();
+    let res = catch(label, || run_scenario_with(spec, instruments));
+    if let (Err(e), Some(rec)) = (&res, recorder) {
+        rec.dump_postmortem(label, e);
     }
+    res
 }
 
 #[cfg(test)]

@@ -1808,11 +1808,11 @@ mod tests {
         // cell — must carry byte-equal specs so the executor runs one
         // simulation for all four.
         let spec_of = |plan: Plan| match plan.cells.into_iter().next().unwrap().work {
-            CellWork::Run { spec, .. } => spec,
+            CellWork::Run(spec) => spec,
             CellWork::Custom(_) => panic!("expected a run cell"),
         };
         let last_spec_of = |plan: Plan| match plan.cells.into_iter().next_back().unwrap().work {
-            CellWork::Run { spec, .. } => spec,
+            CellWork::Run(spec) => spec,
             CellWork::Custom(_) => panic!("expected a run cell"),
         };
         let key = cache_key(&canonical_dynamic_spec(true));

@@ -9,7 +9,8 @@
 //! * [`plan`] — declarative experiments: labelled simulation cells plus a
 //!   pure reduce closure;
 //! * [`executor`] — shared bounded worker pool with a content-addressed
-//!   run cache and per-cell panic isolation;
+//!   run cache and per-cell panic isolation, and [`execute_cell`], the one
+//!   call that runs a spec;
 //! * [`figures`] — one function per experiment (see DESIGN.md's experiment
 //!   index); each returns a [`plan::Plan`];
 //! * [`report`] — text-table rendering and JSON persistence.

@@ -7,10 +7,10 @@
 //! concerns:
 //!
 //! * [`Cell`]s name the simulation runs the experiment needs. Each cell is
-//!   data — a [`RunSpec`] plus optional [`Instruments`] — so the executor
-//!   can schedule every cell of every selected experiment on one shared
-//!   bounded worker pool, and content-address identical specs to run them
-//!   once (see [`crate::executor`]).
+//!   data — a bare [`RunSpec`] — so the executor can schedule every cell
+//!   of every selected experiment on one shared bounded worker pool, and
+//!   content-address identical specs to run them once (see
+//!   [`crate::executor`]).
 //! * The `reduce` closure is the pure tail of the experiment: it folds the
 //!   finished [`RunOutput`]s (in cell order) into a [`FigureResult`] and
 //!   touches no global state, so results are identical at any worker
@@ -22,22 +22,15 @@
 //! shared pool and panic isolation but bypasses the run cache.
 
 use crate::report::FigureResult;
-use crate::scenario::{Instruments, RunOutput, RunSpec};
+use crate::scenario::{RunOutput, RunSpec};
 use std::sync::Arc;
 
 /// The work one cell performs.
 pub enum CellWork {
-    /// A declarative simulation run: hashable spec, optional instruments.
-    /// Cacheable when the instruments are all off (the default).
-    Run {
-        /// Scenario to execute (boxed: a full config tree is ~500 bytes,
-        /// which would otherwise dominate the enum).
-        spec: Box<RunSpec>,
-        /// Optional observability attached to the run. Instruments never
-        /// change results, but an instrumented cell bypasses the run
-        /// cache so its observer sees exactly its own run.
-        instruments: Instruments,
-    },
+    /// A declarative simulation run, content-addressed by its spec
+    /// (boxed: a full config tree is ~500 bytes, which would otherwise
+    /// dominate the enum).
+    Run(Box<RunSpec>),
     /// An imperative experiment body producing its figure directly.
     /// Runs on the pool with panic isolation, but is never cached.
     Custom(Box<dyn FnOnce() -> FigureResult + Send>),
@@ -53,14 +46,11 @@ pub struct Cell {
 }
 
 impl Cell {
-    /// Uninstrumented (and therefore cacheable) simulation cell.
+    /// Simulation cell.
     pub fn run(label: impl Into<String>, spec: RunSpec) -> Self {
         Self {
             label: label.into(),
-            work: CellWork::Run {
-                spec: Box::new(spec),
-                instruments: Instruments::default(),
-            },
+            work: CellWork::Run(Box::new(spec)),
         }
     }
 }
@@ -166,23 +156,5 @@ mod tests {
             "t-fig", "T", "x", "y",
         ))]);
         assert_eq!(fig.id, "t-fig");
-    }
-
-    #[test]
-    fn run_cells_are_cacheable_by_default() {
-        let spec = RunSpec::new(
-            dophy_sim::SimConfig::canonical(1),
-            dophy::protocol::DophyConfig::default(),
-            dophy_sim::SimDuration::from_secs(60),
-        );
-        let cell = Cell::run("a", spec);
-        match cell.work {
-            CellWork::Run { instruments, .. } => {
-                assert!(instruments.observer.is_none());
-                assert!(instruments.metrics_every.is_none());
-                assert!(!instruments.progress);
-            }
-            CellWork::Custom(_) => panic!("expected a run cell"),
-        }
     }
 }

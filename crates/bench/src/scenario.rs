@@ -20,7 +20,7 @@
 //! [`RunOutput::sparse_l1`]). A solve is a pure function of that state, so
 //! every value is the one an eager solve would give.
 
-use crate::telemetry::{record_run, ProgressMeter, RunTelemetry};
+use crate::telemetry::{ProgressMeter, RunTelemetry};
 use dophy::baseline::{survival_to_transmission_loss, TraditionalConfig, TraditionalTomography};
 use dophy::infer::{
     Estimator, Evidence, EvidenceLog, MincEstimator, SnapshotQuery, SparseConfig, SparseL1Estimator,
@@ -184,7 +184,8 @@ pub struct Instruments {
     /// into this buffer to the sink's inference fan-out. The log is a pure
     /// recorder (estimates nothing, never snapshotted), so capture does not
     /// perturb the run; `dophy-serve`'s firehose uses it to stream a run's
-    /// typed evidence into the tomography service.
+    /// typed evidence into the tomography service, and `dophy-run --text`
+    /// replays it into a fresh stack for the health report.
     pub evidence: Option<Arc<Mutex<Vec<Evidence>>>>,
 }
 
@@ -518,15 +519,6 @@ pub fn run_scenario_with(spec: &RunSpec, inst: Instruments) -> RunOutput {
         engine.events_processed(),
         wall_start.elapsed().as_secs_f64(),
         spec.duration.as_secs_f64(),
-    );
-    record_run(
-        format!(
-            "{}n-{}s-seed{}",
-            engine.topology().node_count(),
-            spec.duration.as_secs_f64() as u64,
-            spec.sim.seed
-        ),
-        telemetry,
     );
 
     let truth = truth_map(engine.topology(), &engine.trace(), spec.min_truth_tx);

@@ -1,17 +1,15 @@
 //! Run telemetry: wall-clock instrumentation of the simulation hot loop.
 //!
 //! Every [`crate::run_scenario`] call measures how fast the engine chewed
-//! through its event queue and records a [`RunTelemetry`]. Harness
-//! binaries collect these (via [`record_run`]) and export them to
-//! `BENCH_telemetry.json` with [`write_bench_file`], giving perf work a
-//! baseline trajectory across commits. [`ProgressMeter`] prints the
-//! live heartbeat behind `dophy-run --progress`.
+//! through its event queue and returns a [`RunTelemetry`] in its output.
+//! The experiments harness keeps each executed cell's telemetry in its
+//! `BENCH_harness.json` record, and `dophy-run` prints it to stderr.
+//! [`ProgressMeter`] prints the live heartbeat behind
+//! `dophy-run --progress`.
 
 use dophy_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::io::Write as _;
-use std::path::Path;
-use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 /// Wall-clock performance of one finished simulation run.
@@ -31,7 +29,7 @@ pub struct RunTelemetry {
     /// Process peak resident set size (bytes) when the run finished, 0
     /// where the platform offers no cheap probe. This is a *process-wide*
     /// high-water mark: under the pooled executor it reflects every run
-    /// completed so far, so within one export only the largest scenario's
+    /// completed so far, so within one suite only the largest scenario's
     /// figure is a true per-run peak (fig14-scale orders its cells
     /// smallest-first for exactly this reason).
     pub peak_rss_bytes: u64,
@@ -80,59 +78,6 @@ pub fn peak_rss_bytes() -> u64 {
     {
         0
     }
-}
-
-/// One labelled telemetry record for the `BENCH_telemetry.json` export.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct RunRecord {
-    /// Human-readable run label (`<nodes>n-<sim secs>s-seed<seed>`).
-    pub label: String,
-    /// The measured telemetry.
-    pub telemetry: RunTelemetry,
-}
-
-fn collector() -> &'static Mutex<Vec<RunRecord>> {
-    static RUNS: OnceLock<Mutex<Vec<RunRecord>>> = OnceLock::new();
-    RUNS.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-/// Records one run's telemetry into the process-wide collector.
-pub fn record_run(label: impl Into<String>, telemetry: RunTelemetry) {
-    collector()
-        .lock()
-        .expect("telemetry collector poisoned")
-        .push(RunRecord {
-            label: label.into(),
-            telemetry,
-        });
-}
-
-/// Snapshot of everything recorded so far (in recording order).
-#[must_use]
-pub fn recorded_runs() -> Vec<RunRecord> {
-    collector()
-        .lock()
-        .expect("telemetry collector poisoned")
-        .clone()
-}
-
-/// Writes all recorded runs as pretty JSON to `path`
-/// (conventionally `target/BENCH_telemetry.json`).
-///
-/// Records are sorted by label: with the pooled executor the *recording*
-/// order depends on worker scheduling, so the export imposes a stable
-/// order instead.
-pub fn write_bench_file(path: &Path) -> std::io::Result<()> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    let mut runs = recorded_runs();
-    runs.sort_by(|a, b| a.label.cmp(&b.label));
-    let json = serde_json::to_string_pretty(&runs)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    std::fs::write(path, json)
 }
 
 /// Live heartbeat printer for long runs (`dophy-run --progress`).
@@ -188,35 +133,5 @@ mod tests {
         let j = serde_json::to_string(&t).unwrap();
         let back: RunTelemetry = serde_json::from_str(&j).unwrap();
         assert_eq!(t, back);
-    }
-
-    #[test]
-    fn collector_accumulates_and_exports() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        // The collector is process-wide and other tests in this binary
-        // record into it too, so tag this test's record with a unique
-        // label and only assert on records we created. The export dir is
-        // keyed by pid + counter so concurrent test processes (or repeat
-        // in-process runs) never share a path.
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let tag = format!(
-            "telemetry-test-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        );
-        record_run(&tag, RunTelemetry::from_measurement(5, 1.0, 10.0));
-        let runs = recorded_runs();
-        assert_eq!(
-            runs.iter().filter(|r| r.label == tag).count(),
-            1,
-            "exactly the record this test created"
-        );
-        let dir = std::env::temp_dir().join(format!("dophy-{tag}"));
-        let path = dir.join("BENCH_telemetry.json");
-        write_bench_file(&path).unwrap();
-        let raw = std::fs::read_to_string(&path).unwrap();
-        let back: Vec<RunRecord> = serde_json::from_str(&raw).unwrap();
-        assert!(back.iter().any(|r| r.label == tag));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

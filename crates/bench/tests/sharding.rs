@@ -75,15 +75,15 @@ fn figure(out: &RunOutput) -> FigureResult {
 
 #[test]
 fn figure_json_is_byte_identical_across_shard_counts() {
-    // Same seed, shards=1 vs shards=N, through the real executor path
-    // (pool + cache): the serialized figures must match byte for byte.
-    let base = execute_cell("shards=1", spec(11).with_shards(1), Instruments::default())
+    // Same seed, shards=1 vs shards=N, through the harness's run call:
+    // the serialized figures must match byte for byte.
+    let base = execute_cell("shards=1", &spec(11).with_shards(1), Instruments::default())
         .expect("sharded run succeeds");
     let json_base = serde_json::to_string(&figure(&base)).unwrap();
     for shards in [3, 6] {
         let out = execute_cell(
             "shards=n",
-            spec(11).with_shards(shards),
+            &spec(11).with_shards(shards),
             Instruments::default(),
         )
         .expect("sharded run succeeds");

@@ -7,7 +7,8 @@
 //! (human-readable); `dophy-run --text` and the `link_watchdog` example
 //! are thin wrappers around it.
 
-use crate::protocol::SinkState;
+use crate::infer::Inference;
+use crate::protocol::{DecodeStats, OverheadStats};
 use crate::tracking::{detect_anomalies, LinkAlarm};
 use dophy_sim::SimTime;
 use serde::{Deserialize, Serialize};
@@ -80,25 +81,29 @@ pub struct NetworkHealthReport {
 }
 
 impl NetworkHealthReport {
-    /// Builds a report from the sink's live state.
-    pub fn generate(sink: &SinkState, now: SimTime, cfg: &DiagnosisConfig) -> Self {
+    /// Builds a report from an inference stack and the sink's traffic
+    /// counters: the live sink's, or a stack replayed from a run's
+    /// captured evidence.
+    pub fn generate(
+        infer: &Inference,
+        overhead: &OverheadStats,
+        decode: &DecodeStats,
+        delivery_ratio: Option<f64>,
+        now: SimTime,
+        cfg: &DiagnosisConfig,
+    ) -> Self {
         let r = cfg.max_attempts;
-        let mut links: Vec<LinkHealth> = sink
-            .infer
+        let mut links: Vec<LinkHealth> = infer
             .in_band
             .estimates(r, cfg.min_samples)
             .into_iter()
             .map(|((src, dst), est)| {
-                let le = sink.infer.in_band.link(src, dst);
+                let le = infer.in_band.link(src, dst);
                 LinkHealth {
                     link: (src, dst),
                     loss: est.loss,
                     stderr: est.stderr,
-                    recent_loss: sink
-                        .infer
-                        .windowed
-                        .estimate(now, src, dst, r)
-                        .map(|e| e.loss),
+                    recent_loss: infer.windowed.estimate(now, src, dst, r).map(|e| e.loss),
                     expected_tx: le.and_then(|l| l.expected_transmissions(r)),
                     n_samples: est.n_samples,
                 }
@@ -106,18 +111,18 @@ impl NetworkHealthReport {
             .collect();
         links.sort_by(|a, b| b.loss.partial_cmp(&a.loss).expect("finite loss"));
 
-        let windowed = sink.infer.windowed.estimates(now, r, cfg.min_samples);
+        let windowed = infer.windowed.estimates(now, r, cfg.min_samples);
         let alarms = detect_anomalies(&windowed, cfg.loss_threshold, cfg.min_z);
 
         Self {
             at_s: now.as_secs_f64(),
-            delivered_packets: sink.overhead.packets,
-            delivery_ratio: sink.total_delivery_ratio(),
-            decode_success: sink.decode.success_ratio(),
+            delivered_packets: overhead.packets,
+            delivery_ratio,
+            decode_success: decode.success_ratio(),
             links_monitored: links.len(),
             links,
             alarms,
-            measurement_bytes_per_packet: sink.overhead.mean_measurement_bytes(),
+            measurement_bytes_per_packet: overhead.mean_measurement_bytes(),
         }
     }
 
@@ -200,7 +205,10 @@ mod tests {
         engine.run_for(SimDuration::from_secs(600));
         let s = shared.lock();
         let rep = NetworkHealthReport::generate(
-            &s,
+            &s.infer,
+            &s.overhead,
+            &s.decode,
+            s.total_delivery_ratio(),
             engine.now(),
             &DiagnosisConfig {
                 max_attempts: sim.mac.max_attempts,

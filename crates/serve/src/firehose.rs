@@ -1,10 +1,12 @@
 //! The firehose: evidence capture from N parallel simulations, merged
 //! into one deterministic stream for the service to ingest.
 //!
-//! Each simulation runs through the bench executor ([`execute_cell`]:
-//! pool + panic isolation — the same machinery `dophy-run` uses) with an
+//! Each simulation runs through the bench harness's one run call
+//! ([`execute_cell`]: panic isolation on the calling worker, the same call
+//! `dophy-run` and the figures' cache misses make) with an
 //! [`Instruments::evidence`] tap attached, so capture reuses the exact
-//! scenario path every figure runs on. Simulation `k` gets seed
+//! scenario path every figure runs on. A small pool of its own runs up to
+//! `jobs` simulations at once. Simulation `k` gets seed
 //! `base_seed + k` and its node ids are namespaced by `k * node_count`,
 //! so the merged stream reads as one large network with per-simulation
 //! node blocks and no link-key collisions.
@@ -102,7 +104,7 @@ pub fn capture(base: &RunSpec, sims: usize, jobs: usize) -> Result<Firehose, Str
                     ..Instruments::default()
                 };
                 let label = format!("firehose-sim{k}");
-                let res = execute_cell(&label, spec, inst).map(|out| {
+                let res = execute_cell(&label, &spec, inst).map(|out| {
                     let events = std::mem::take(&mut *buffer.lock());
                     (events, out.overhead.packets)
                 });

@@ -79,7 +79,10 @@ fn main() {
     // Final snapshot: the full operator-facing health report.
     let s = shared.lock();
     let report = dophy::diagnosis::NetworkHealthReport::generate(
-        &s,
+        &s.infer,
+        &s.overhead,
+        &s.decode,
+        s.total_delivery_ratio(),
         engine.now(),
         &dophy::diagnosis::DiagnosisConfig {
             max_attempts: r,

@@ -135,7 +135,7 @@ fn cell_work(plan: Plan, label: &str) -> CellWork {
 
 fn cell_spec(plan: Plan, label: &str) -> RunSpec {
     match cell_work(plan, label) {
-        CellWork::Run { spec, .. } => *spec,
+        CellWork::Run(spec) => *spec,
         CellWork::Custom(_) => panic!("{label} is a custom cell"),
     }
 }
@@ -144,7 +144,7 @@ fn custom_figure(plan: Plan) -> FigureResult {
     let label = plan.cells[0].label.clone();
     match cell_work(plan, &label) {
         CellWork::Custom(body) => body(),
-        CellWork::Run { .. } => panic!("{label} is a run cell"),
+        CellWork::Run(_) => panic!("{label} is a run cell"),
     }
 }
 

@@ -357,7 +357,7 @@ fn injected_panic_dumps_flight_recorder_postmortem() {
     let spec = quick_spec();
     let err = execute_cell(
         "panic-cell",
-        spec,
+        &spec,
         Instruments {
             observer: Some(bomb as Arc<dyn Observer>),
             flight_recorder: Some(recorder.clone()),
