@@ -23,7 +23,7 @@
 use crate::telemetry::{ProgressMeter, RunTelemetry};
 use dophy::baseline::{survival_to_transmission_loss, TraditionalConfig, TraditionalTomography};
 use dophy::infer::{
-    Estimator, Evidence, EvidenceLog, MincEstimator, SnapshotQuery, SparseConfig, SparseL1Estimator,
+    Estimator, Evidence, MincEstimator, SnapshotQuery, SparseConfig, SparseL1Estimator,
 };
 use dophy::metrics::{score, AccuracyReport};
 use dophy::protocol::{
@@ -180,12 +180,12 @@ pub struct Instruments {
     /// `observer` in the fan-out, so the ring always holds the freshest
     /// events even if a downstream observer is the thing that panics.
     pub flight_recorder: Option<Arc<FlightRecorder>>,
-    /// Evidence capture: attach an [`dophy::infer::EvidenceLog`] writing
-    /// into this buffer to the sink's inference fan-out. The log is a pure
-    /// recorder (estimates nothing, never snapshotted), so capture does not
-    /// perturb the run; `dophy-serve`'s firehose uses it to stream a run's
-    /// typed evidence into the tomography service, and `dophy-run --text`
-    /// replays it into a fresh stack for the health report.
+    /// Evidence capture: the sink's inference stack appends every evidence
+    /// event to this buffer ([`dophy::infer::Inference::capture`]). Capture
+    /// is a pure recorder, so it does not perturb the run; `dophy-serve`'s
+    /// firehose uses it to stream a run's typed evidence into the
+    /// tomography service, and `dophy-run --text` replays it into a fresh
+    /// stack for the health report.
     pub evidence: Option<Arc<Mutex<Vec<Evidence>>>>,
 }
 
@@ -397,15 +397,8 @@ pub fn run_scenario_with(spec: &RunSpec, inst: Instruments) -> RunOutput {
     if let Some(observer) = observer {
         engine.set_observer(observer);
     }
-    if let Some(buffer) = inst.evidence {
-        // Attached before start so the log sees the whole stream. Extra
-        // backends observe after the built-ins and are never snapshotted,
-        // so capture cannot perturb any output.
-        shared
-            .lock()
-            .infer
-            .attach(Box::new(EvidenceLog::with_handle(buffer)));
-    }
+    // Set before start so the buffer receives the whole stream.
+    shared.lock().infer.capture = inst.evidence;
     if spec.keep_true_hops == Some(false) {
         // Recorder gate only — the simulation is bit-identical with the
         // hop log off, it just never materializes the per-packet map.

@@ -3,7 +3,7 @@
 //! the full Dophy stack at the 10k-node scale that sharding exists for.
 
 use dophy::baseline::{survival_to_transmission_loss, TraditionalConfig};
-use dophy::infer::{Estimator, EstimatorKind, Evidence, EvidenceLog, Inference, SnapshotQuery};
+use dophy::infer::{Estimator, EstimatorKind, Evidence, Inference, SnapshotQuery};
 use dophy::protocol::DophyConfig;
 use dophy_bench::{
     cache_key, execute_cell, run_scenario, run_scenario_with, FigureResult, Instruments, RunOutput,
@@ -153,8 +153,8 @@ fn evidence_stream_is_shard_invariant_and_backends_are_engine_blind() {
         let spec = spec(17);
         let (mut engine, shared) =
             dophy::protocol::build_sharded_simulation(&spec.sim, &spec.dophy, shards);
-        let (log, handle) = EvidenceLog::new();
-        shared.lock().infer.attach(Box::new(log));
+        let handle = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        shared.lock().infer.capture = Some(Arc::clone(&handle));
         engine.start();
         engine.run_for(SimDuration::from_secs(420));
         (shared, handle, spec.dophy)

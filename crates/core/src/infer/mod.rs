@@ -209,10 +209,10 @@ pub struct Inference {
     /// The traditional end-to-end baseline's path measurements (solved by
     /// EM or log-LS on demand; see [`crate::baseline`]).
     pub traditional: TraditionalTomography,
-    /// Attached auxiliary backends (test instrumentation, e.g.
-    /// [`EvidenceLog`]); observed after the built-ins, never snapshotted
-    /// by the harness.
-    extra: Vec<Box<dyn Estimator>>,
+    /// Evidence tap: when set, every observed event is appended here after
+    /// the backends have seen it. Replaying the captured stream into a
+    /// fresh stack reproduces every backend's state bit for bit.
+    pub capture: Option<Arc<Mutex<Vec<Evidence>>>>,
 }
 
 impl Inference {
@@ -226,7 +226,7 @@ impl Inference {
             minc: MincEstimator::new(),
             sparse: SparseL1Estimator::new(SparseConfig::default()),
             traditional: TraditionalTomography::new(),
-            extra: Vec::new(),
+            capture: None,
         }
     }
 
@@ -241,8 +241,8 @@ impl Inference {
         Estimator::observe(&mut self.minc, ev);
         Estimator::observe(&mut self.sparse, ev);
         self.traditional.observe(ev);
-        for e in &mut self.extra {
-            e.observe(ev);
+        if let Some(capture) = &self.capture {
+            capture.lock().push(ev.clone());
         }
     }
 
@@ -253,55 +253,6 @@ impl Inference {
             EstimatorKind::Minc => &self.minc,
             EstimatorKind::SparseL1 => &self.sparse,
         }
-    }
-
-    /// Attaches an auxiliary backend to the fan-out. It sees every
-    /// subsequent event after the built-ins.
-    pub fn attach(&mut self, est: Box<dyn Estimator>) {
-        self.extra.push(est);
-    }
-}
-
-/// A recording backend: clones every evidence event into a shared buffer
-/// and estimates nothing. Test instrumentation for the engine-blindness
-/// guarantee — capture the stream from a live run, replay it into a fresh
-/// [`Inference`], and the snapshots must match bit for bit.
-pub struct EvidenceLog {
-    events: Arc<Mutex<Vec<Evidence>>>,
-}
-
-impl EvidenceLog {
-    /// Creates a log and the shared handle to read it from outside.
-    pub fn new() -> (Self, Arc<Mutex<Vec<Evidence>>>) {
-        let events = Arc::new(Mutex::new(Vec::new()));
-        (
-            Self {
-                events: Arc::clone(&events),
-            },
-            events,
-        )
-    }
-
-    /// Builds a log that records into a caller-supplied buffer. This is
-    /// how a harness captures the stream from a run it did not build the
-    /// `Inference` for: hand the shared handle in through the attach
-    /// surface, read the events out after the run.
-    pub fn with_handle(events: Arc<Mutex<Vec<Evidence>>>) -> Self {
-        Self { events }
-    }
-}
-
-impl Estimator for EvidenceLog {
-    fn name(&self) -> &'static str {
-        "evidence-log"
-    }
-
-    fn observe(&mut self, ev: &Evidence) {
-        self.events.lock().push(ev.clone());
-    }
-
-    fn snapshot(&self, _q: &SnapshotQuery) -> Vec<((u32, u32), LossEstimate)> {
-        Vec::new()
     }
 }
 
@@ -356,8 +307,8 @@ mod tests {
     fn evidence_log_captures_and_replays_bit_identically() {
         let build = || {
             let mut inf = Inference::new(WindowConfig::default());
-            let (log, handle) = EvidenceLog::new();
-            inf.attach(Box::new(log));
+            let handle = Arc::new(Mutex::new(Vec::new()));
+            inf.capture = Some(Arc::clone(&handle));
             (inf, handle)
         };
         let (mut live, handle) = build();

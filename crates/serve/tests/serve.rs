@@ -109,8 +109,8 @@ fn query_at_seq_is_byte_identical_live_vs_replayed() {
         (h, f)
     });
 
-    // Replay: EvidenceLog round-trip through JSON, serial ingest, no
-    // concurrent readers.
+    // Replay: captured evidence round-trips through JSON, serial ingest,
+    // no concurrent readers.
     let json = serde_json::to_string(events).unwrap();
     let replayed: Vec<Evidence> = serde_json::from_str(&json).unwrap();
     assert_eq!(&replayed, events, "evidence log must round-trip");
