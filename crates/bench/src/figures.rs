@@ -1248,7 +1248,10 @@ pub fn fig12_node_churn(quick: bool) -> Plan {
 /// custom cell (pooled and panic-isolated, but not cacheable).
 pub fn tab4_energy(quick: bool) -> Plan {
     Plan::custom("tab4-energy", "energy-accounting", move || {
-        use dophy::protocol::build_simulation;
+        use dophy::header::DophyHeader;
+        use dophy::protocol::{build_simulation, MAC_HEADER_BYTES};
+        use dophy_coding::range::EncoderState;
+        use dophy_sim::engine::ACK_BYTES;
         use dophy_sim::EnergyModel;
 
         let sim = canonical_sim(179, quick);
@@ -1258,15 +1261,18 @@ pub fn tab4_energy(quick: bool) -> Plan {
         engine.run_for(duration(quick));
 
         let energy = EnergyModel::default();
-        let mean_frame = 31.0 + dophy::header::DophyHeader::FIXED_WIRE_BYTES as f64; // MAC 11 + payload 20 + header
-        let base = energy.report(&engine.trace(), mean_frame, 11.0);
+        let mean_frame =
+            (MAC_HEADER_BYTES + dophy_cfg.payload_bytes + DophyHeader::FIXED_WIRE_BYTES) as f64;
+        let base = energy.report(&engine.trace(), mean_frame, ACK_BYTES as f64);
         let per_byte_hop = energy.per_hop_byte_joules();
+        // Coder state plus the epoch byte, carried at every hop.
+        let state_bytes = (EncoderState::WIRE_SIZE + 1) as f64;
 
         let s = shared.lock();
         // Per-packet byte-hop cost of each scheme, from the hop histogram.
         // At transmission j of a k-hop path the packet carries j-1 hops of
         // records (receiver-side recording), so byte-hops = Σ_{j=1..k} c(j-1).
-        let mut dophy_bh = 0.0; // state (13 B) every hop + stream growing
+        let mut dophy_bh = 0.0; // state every hop + stream growing
         let mut explicit_bh = 0.0; // 2 B per recorded hop
         let mut rice_bh = 0.0; // ~1.35 B per recorded hop (8b id + ~1.8b attempt)
         let mut state_bh = 0.0; // coder state alone (floor)
@@ -1292,10 +1298,10 @@ pub fn tab4_energy(quick: bool) -> Plan {
             let mut st = 0.0;
             for j in 1..=k {
                 let recorded = (j - 1) as f64;
-                d += 13.0 + per_hop_stream * recorded;
+                d += state_bytes + per_hop_stream * recorded;
                 e += 2.0 * recorded;
                 r += 1.35 * recorded;
-                st += 13.0;
+                st += state_bytes;
             }
             dophy_bh += c * d;
             explicit_bh += c * e;

@@ -35,7 +35,7 @@ pub use crate::shard::Engine;
 
 /// Wire size of a link-layer ACK (802.15.4 imm-ack is 11 bytes with
 /// preamble).
-pub(crate) const ACK_BYTES: usize = 11;
+pub const ACK_BYTES: usize = 11;
 
 /// Per-node protocol logic driven by engine callbacks.
 ///
