@@ -127,7 +127,16 @@ fn cache_hit_reproduces_cache_miss_exactly() {
     let jsons = figure_jsons(&outcome);
     assert_eq!(jsons[0], jsons[1], "hit and miss must agree byte-for-byte");
 
-    let cached_cells: Vec<_> = outcome.report.cells.iter().filter(|c| c.cached).collect();
+    let (cached_cells, ran_cells): (Vec<_>, Vec<_>) =
+        outcome.report.cells.iter().partition(|c| c.cached);
     assert_eq!(cached_cells.len(), 1, "exactly one cell was a cache hit");
     assert!(cached_cells[0].ok);
+    // The engine telemetry belongs to the cell that ran the simulation.
+    assert!(
+        ran_cells[0]
+            .telemetry
+            .is_some_and(|t| t.events_processed > 0),
+        "the miss must carry its run's telemetry"
+    );
+    assert!(cached_cells[0].telemetry.is_none(), "a hit ran nothing");
 }
