@@ -4,8 +4,9 @@
 //! problem sizes is the figure of merit.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use dophy::baseline::{PathMeasurement, TraditionalConfig, TraditionalTomography};
+use dophy::baseline::{estimate_em, estimate_logls, TraditionalConfig};
 use dophy::estimator::LinkEstimator;
+use dophy::infer::PathTable;
 use dophy_coding::aggregate::AttemptObservation;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -46,10 +47,10 @@ fn bench_mle(c: &mut Criterion) {
     g.finish();
 }
 
-/// Builds a synthetic measurement set shaped like a collection tree:
+/// Builds a synthetic route table shaped like a collection tree:
 /// `origins` chains of depth up to 5 sharing links near the sink.
-fn tree_measurements(origins: u32) -> TraditionalTomography {
-    let mut t = TraditionalTomography::new();
+fn tree_measurements(origins: u32) -> PathTable {
+    let mut t = PathTable::new();
     let mut rng = SmallRng::seed_from_u64(4);
     for o in 1..=origins {
         let depth = 1 + (o % 5);
@@ -66,11 +67,7 @@ fn tree_measurements(origins: u32) -> TraditionalTomography {
         let dr: f64 = 0.98f64.powi(path.len() as i32);
         let sent: u64 = 500;
         let delivered = (sent as f64 * dr * rng.gen_range(0.95..1.0)) as u64;
-        t.add(PathMeasurement {
-            path,
-            sent,
-            delivered,
-        });
+        t.add(&path, sent, delivered);
     }
     t
 }
@@ -82,10 +79,10 @@ fn bench_traditional(c: &mut Criterion) {
         let t = tree_measurements(origins);
         let cfg = TraditionalConfig::default();
         g.bench_with_input(BenchmarkId::new("em", origins), &t, |b, t| {
-            b.iter(|| black_box(t.estimate_em(&cfg).len()));
+            b.iter(|| black_box(estimate_em(t, &cfg).len()));
         });
         g.bench_with_input(BenchmarkId::new("logls", origins), &t, |b, t| {
-            b.iter(|| black_box(t.estimate_logls(&cfg).len()));
+            b.iter(|| black_box(estimate_logls(t, &cfg).len()));
         });
     }
     g.finish();

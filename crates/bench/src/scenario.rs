@@ -15,16 +15,16 @@
 //! The in-band estimates are extracted when the run ends. The four
 //! end-to-end maps are not: their solvers cost far more than the in-band
 //! readout and many readers never look at them, so [`RunOutput`] keeps the
-//! backends' accumulated state and solves each map on its first read
+//! sink's pooled route table and solves each map on its first read
 //! ([`RunOutput::em`], [`RunOutput::ls`], [`RunOutput::minc`],
-//! [`RunOutput::sparse_l1`]). A solve is a pure function of that state, so
+//! [`RunOutput::sparse_l1`]). A solve is a pure function of the table, so
 //! every value is the one an eager solve would give.
 
 use crate::telemetry::{ProgressMeter, RunTelemetry};
-use dophy::baseline::{survival_to_transmission_loss, TraditionalConfig, TraditionalTomography};
-use dophy::infer::{
-    Estimator, Evidence, MincEstimator, SnapshotQuery, SparseConfig, SparseL1Estimator,
+use dophy::baseline::{
+    estimate_em, estimate_logls, survival_to_transmission_loss, TraditionalConfig,
 };
+use dophy::infer::{minc, sparse, Evidence, PathTable, SnapshotQuery};
 use dophy::metrics::{score, AccuracyReport};
 use dophy::protocol::{
     build_sharded_simulation_with_faults, DecodeStats, DophyConfig, DophyNode, OverheadStats,
@@ -205,7 +205,7 @@ pub struct RunOutput {
     pub naive: HashMap<LinkKey, f64>,
     /// Conjugate Bayesian loss estimates from the same observations.
     pub bayes: HashMap<LinkKey, f64>,
-    /// The end-to-end backends' state, solved on demand.
+    /// The sink's pooled route table, solved on demand.
     end_to_end: EndToEnd,
     /// Decode statistics.
     pub decode: DecodeStats,
@@ -251,7 +251,7 @@ impl RunOutput {
     pub fn minc(&self) -> &HashMap<LinkKey, f64> {
         let e = &self.end_to_end;
         e.minc_est
-            .get_or_init(|| estimates_to_loss(e.minc.snapshot(&e.query)))
+            .get_or_init(|| estimates_to_loss(minc::solve(&e.paths, &e.query)))
     }
 
     /// Sparse-L1 backend estimates (end-to-end evidence; see
@@ -259,7 +259,7 @@ impl RunOutput {
     pub fn sparse_l1(&self) -> &HashMap<LinkKey, f64> {
         let e = &self.end_to_end;
         e.sparse_est
-            .get_or_init(|| estimates_to_loss(e.sparse.snapshot(&e.query)))
+            .get_or_init(|| estimates_to_loss(sparse::solve(&e.paths, &e.query)))
     }
 
     /// Traditional EM estimates (converted to per-transmission loss),
@@ -268,7 +268,7 @@ impl RunOutput {
         let e = &self.end_to_end;
         e.em.get_or_init(|| {
             convert_survival(
-                e.traditional.estimate_em(&TraditionalConfig::default()),
+                estimate_em(&e.paths, &TraditionalConfig::default()),
                 e.query.r,
             )
         })
@@ -279,20 +279,18 @@ impl RunOutput {
         let e = &self.end_to_end;
         e.ls.get_or_init(|| {
             convert_survival(
-                e.traditional.estimate_logls(&TraditionalConfig::default()),
+                estimate_logls(&e.paths, &TraditionalConfig::default()),
                 e.query.r,
             )
         })
     }
 }
 
-/// The end-to-end backends' accumulated state, moved out of the sink when
-/// the run ends, with one solve-once cell per estimate map.
+/// The sink's pooled route table, moved out when the run ends, with one
+/// solve-once cell per end-to-end estimate map.
 #[derive(Debug, Clone)]
 struct EndToEnd {
-    traditional: TraditionalTomography,
-    minc: MincEstimator,
-    sparse: SparseL1Estimator,
+    paths: PathTable,
     /// The end-of-run query the MINC and sparse-L1 snapshots answer; its
     /// `r` also converts EM and log-LS survival to loss.
     query: SnapshotQuery,
@@ -467,10 +465,9 @@ pub fn run_scenario_with(spec: &RunSpec, inst: Instruments) -> RunOutput {
                         let (used, rest) = attribute_window(sent, delivered, carry[origin]);
                         carry[origin] = rest;
                         // The carry-corrected window tally, as typed
-                        // evidence for the end-to-end backends (MINC,
-                        // sparse-L1 and the EM/log-LS collector). The
-                        // in-band backends ignore path outcomes, so feeding
-                        // the stack here cannot perturb any in-band
+                        // evidence for the end-to-end solvers' route table.
+                        // The in-band backends ignore path outcomes, so
+                        // feeding the stack here cannot perturb any in-band
                         // estimate.
                         s.infer.observe(&Evidence::PathOutcome {
                             at: SimTime::ZERO + elapsed,
@@ -491,8 +488,8 @@ pub fn run_scenario_with(spec: &RunSpec, inst: Instruments) -> RunOutput {
             let naive_est =
                 estimates_to_loss(s.infer.in_band.naive_estimates(spec.min_est_samples));
             let delivered: u64 = s.delivered_per_origin.iter().sum();
-            let em = convert_survival(s.infer.traditional.estimate_em(&tomo_cfg), r);
-            let ls = convert_survival(s.infer.traditional.estimate_logls(&tomo_cfg), r);
+            let em = convert_survival(estimate_em(&s.infer.paths, &tomo_cfg), r);
+            let ls = convert_survival(estimate_logls(&s.infer.paths, &tomo_cfg), r);
             drop(s);
             let sc = |m: &HashMap<LinkKey, f64>| score(m, &truth);
             let dophy_rep = sc(&dophy_est);
@@ -531,15 +528,10 @@ pub fn run_scenario_with(spec: &RunSpec, inst: Instruments) -> RunOutput {
     let dophy_est = estimates_to_loss(s.infer.in_band.estimates(r, spec.min_est_samples));
     let naive_est = estimates_to_loss(s.infer.in_band.naive_estimates(spec.min_est_samples));
     let bayes_est = estimates_to_loss(s.infer.bayes.estimates(spec.min_est_samples));
-    // The end-to-end backends' evidence moves into the output unsolved;
-    // each map is solved when first read (see `RunOutput::em`).
+    // The end-to-end evidence moves into the output unsolved; each map is
+    // solved when first read (see `RunOutput::em`).
     let end_to_end = EndToEnd {
-        traditional: std::mem::take(&mut s.infer.traditional),
-        minc: std::mem::take(&mut s.infer.minc),
-        sparse: std::mem::replace(
-            &mut s.infer.sparse,
-            SparseL1Estimator::new(SparseConfig::default()),
-        ),
+        paths: std::mem::take(&mut s.infer.paths),
         query: SnapshotQuery {
             now: duration_t,
             r,

@@ -2,7 +2,9 @@
 //! JSON at any shard count for the same seed, and must keep delivering
 //! the full Dophy stack at the 10k-node scale that sharding exists for.
 
-use dophy::baseline::{survival_to_transmission_loss, TraditionalConfig};
+use dophy::baseline::{
+    estimate_em, estimate_logls, survival_to_transmission_loss, TraditionalConfig,
+};
 use dophy::infer::{Estimator, EstimatorKind, Evidence, Inference, SnapshotQuery};
 use dophy::protocol::DophyConfig;
 use dophy_bench::{
@@ -195,8 +197,8 @@ fn evidence_stream_is_shard_invariant_and_backends_are_engine_blind() {
         let live = shared.lock();
         for kind in EstimatorKind::ALL {
             assert_eq!(
-                live.infer.backend(kind).snapshot(&q),
-                fresh.backend(kind).snapshot(&q),
+                live.infer.snapshot(kind, &q),
+                fresh.snapshot(kind, &q),
                 "{kind} snapshot diverged under replay"
             );
         }
@@ -234,8 +236,9 @@ fn evidence_stream_is_shard_invariant_and_backends_are_engine_blind() {
         r,
         min_samples: spec.min_est_samples,
     };
-    let loss = |est: &dyn Estimator| -> HashMap<(u32, u32), f64> {
-        est.snapshot(&end_q)
+    let loss = |kind: EstimatorKind| -> HashMap<(u32, u32), f64> {
+        fresh
+            .snapshot(kind, &end_q)
             .into_iter()
             .map(|(k, e)| (k, e.loss))
             .collect()
@@ -248,20 +251,24 @@ fn evidence_stream_is_shard_invariant_and_backends_are_engine_blind() {
     };
     let cfg = TraditionalConfig::default();
     assert!(!out.em().is_empty(), "no EM estimates — nothing was tested");
-    assert_eq!(out.minc(), &loss(&fresh.minc), "MINC diverged under replay");
+    assert_eq!(
+        out.minc(),
+        &loss(EstimatorKind::Minc),
+        "MINC diverged under replay"
+    );
     assert_eq!(
         out.sparse_l1(),
-        &loss(&fresh.sparse),
+        &loss(EstimatorKind::SparseL1),
         "sparse-L1 diverged under replay"
     );
     assert_eq!(
         out.em(),
-        &survival(fresh.traditional.estimate_em(&cfg)),
+        &survival(estimate_em(&fresh.paths, &cfg)),
         "EM diverged under replay"
     );
     assert_eq!(
         out.ls(),
-        &survival(fresh.traditional.estimate_logls(&cfg)),
+        &survival(estimate_logls(&fresh.paths, &cfg)),
         "log-LS diverged under replay"
     );
 }

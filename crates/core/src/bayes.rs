@@ -190,10 +190,6 @@ impl BayesNetworkEstimator {
 }
 
 impl crate::infer::Estimator for BayesNetworkEstimator {
-    fn name(&self) -> &'static str {
-        "bayes"
-    }
-
     fn observe(&mut self, ev: &crate::infer::Evidence) {
         if let crate::infer::Evidence::Hop {
             sender,

@@ -311,10 +311,6 @@ impl NetworkEstimator {
 /// from [`crate::infer::Evidence::Hop`] events and adapted otherwise
 /// unchanged.
 impl crate::infer::Estimator for NetworkEstimator {
-    fn name(&self) -> &'static str {
-        "in-band"
-    }
-
     fn observe(&mut self, ev: &crate::infer::Evidence) {
         if let crate::infer::Evidence::Hop {
             sender,

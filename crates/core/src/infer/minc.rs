@@ -16,7 +16,8 @@
 //!
 //! * `γ_k` — the end-to-end delivery ratio of packets originated at `k`
 //!   (directly observed, no subtree OR needed);
-//! * `A_p` — the survival of `p`'s path to the sink (`A_sink = 1`);
+//! * `A_p` — the survival of `p`'s path to the sink (`A = 1` at every
+//!   route's tail, so a stream may hold several sinks);
 //! * link survival `σ_{k,p} = γ_{k,p} / A_p` where `γ_{k,p}` is `k`'s
 //!   delivery ratio *restricted to windows in which `p` was `k`'s parent*.
 //!
@@ -24,12 +25,14 @@
 //! CTP tree re-parents continuously, so there is no static tree to recurse
 //! over. Instead each [`Evidence::PathOutcome`] carries the parent path
 //! snapshotted from CTP routing state at the start of its attribution
-//! window, and outcomes accumulate per *(child, parent)* edge of the
-//! observed DAG — per-edge γ — while `A_p` is taken from `p`'s own
-//! cumulative γ (its packets measure its path directly). For a parent that
-//! never originated traffic, `A_p` falls back to the MINC-style
-//! evidence-from-below aggregate `Σ sent·γ_{k,p} / Σ sent` over its
-//! observed children — a lower bound on `A_p` (it still contains the
+//! window, and [`solve`] folds the routes of a [`PathTable`] per *(child,
+//! parent)* edge of the observed DAG (each route's first hop) — per-edge γ
+//! — while `A_p` is taken from `p`'s own cumulative γ (its packets measure
+//! its path directly). Each γ is the pooled ratio `Σ delivered / Σ sent`,
+//! the running mean of MINC's per-probe update `γ += (y − γ)/n`. For a
+//! parent that never originated traffic, `A_p` falls back to the
+//! MINC-style evidence-from-below aggregate, the pooled delivery ratio of
+//! the edges into it — a lower bound on `A_p` (it still contains the
 //! child-to-`p` hop), used only when nothing better exists.
 //!
 //! The remaining approximation, documented rather than hidden: `γ_{k,p}`
@@ -39,10 +42,10 @@
 //! would be exact per window but far noisier; the cumulative form is the
 //! standard bias/variance trade.
 //!
-//! Everything is deterministic: `BTreeMap` state, closed-form batched
-//! gamma updates, no iteration-order dependence.
+//! Everything is deterministic: `BTreeMap` state, integer tallies, no
+//! iteration-order dependence.
 
-use super::{Estimator, Evidence, SnapshotQuery};
+use super::{Estimator, Evidence, PathTable, SnapshotQuery};
 use crate::baseline::survival_to_transmission_loss;
 use crate::estimator::LossEstimate;
 use std::collections::BTreeMap;
@@ -51,150 +54,81 @@ use std::collections::BTreeMap;
 /// with an apparently dead path must not blow up the division.
 const EPS: f64 = 1e-6;
 
-/// Incrementally maintained outcome aggregate: MINC's `γ` plus the raw
-/// tallies behind it.
-#[derive(Debug, Clone, Copy, Default)]
-struct OutcomeAgg {
-    /// Packets sent (probe count `n` in MINC terms).
-    sent: u64,
-    /// Packets delivered end-to-end.
-    delivered: u64,
-    /// Incremental delivery-ratio estimate.
-    gamma: f64,
-}
-
-impl OutcomeAgg {
-    /// Folds one window's outcomes in. This is the batched form of MINC's
-    /// per-probe `γ += (y − γ)/n`: a window of `sent` Bernoulli outcomes
-    /// with mean `m` advances `γ += (m − γ)·sent/n_total`, which is
-    /// algebraically the same running mean and independent of any
-    /// within-window ordering.
-    fn push(&mut self, sent: u64, delivered: u64) {
-        if sent == 0 {
-            return;
-        }
-        let delivered = delivered.min(sent);
-        self.sent += sent;
-        self.delivered += delivered;
-        let m = delivered as f64 / sent as f64;
-        self.gamma += (m - self.gamma) * (sent as f64 / self.sent as f64);
-    }
-}
-
-/// The MINC backend. Consumes [`Evidence::PathOutcome`] only; hop
-/// evidence (Dophy's in-band channel) is deliberately invisible to it —
-/// that is the whole point of the bake-off.
+/// The MINC backend as a standalone [`Estimator`]: a [`PathTable`] solved
+/// by [`solve`] at snapshot time. Hop evidence (Dophy's in-band channel) is
+/// deliberately invisible to it — that is the whole point of the bake-off.
 #[derive(Debug, Clone, Default)]
-pub struct MincEstimator {
-    /// Per-(child, parent) aggregates: `γ_{k,p}`, conditioned on the
-    /// window parent snapshot.
-    links: BTreeMap<(u32, u32), OutcomeAgg>,
-    /// Per-origin aggregates: `γ_k`, the node's cumulative delivery ratio.
-    nodes: BTreeMap<u32, OutcomeAgg>,
-    /// The sink (root of the dual tree), learned from path tails.
-    sink: Option<u32>,
-}
+pub struct MincEstimator(PathTable);
 
 impl MincEstimator {
     /// Creates an empty backend.
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Path-survival estimates `A_p` for every node that can serve as a
-    /// parent, resolved as described in the module docs.
-    fn path_survival(&self) -> BTreeMap<u32, f64> {
-        let mut a = BTreeMap::new();
-        if let Some(sink) = self.sink {
-            a.insert(sink, 1.0);
-        }
-        // Direct estimates: every node that originated traffic measures
-        // its own path.
-        for (&k, agg) in &self.nodes {
-            if agg.sent > 0 {
-                a.entry(k).or_insert_with(|| agg.gamma.clamp(EPS, 1.0));
-            }
-        }
-        // Evidence-from-below fallback for silent parents.
-        let silent: Vec<u32> = self
-            .links
-            .keys()
-            .map(|&(_, p)| p)
-            .filter(|p| !a.contains_key(p))
-            .collect();
-        for p in silent {
-            let (mut w, mut wg) = (0.0, 0.0);
-            for (&(_, q), agg) in &self.links {
-                if q == p && agg.sent > 0 {
-                    w += agg.sent as f64;
-                    wg += agg.sent as f64 * agg.gamma;
-                }
-            }
-            if w > 0.0 {
-                a.insert(p, (wg / w).clamp(EPS, 1.0));
-            }
-        }
-        a
-    }
 }
 
 impl Estimator for MincEstimator {
-    fn name(&self) -> &'static str {
-        "minc"
-    }
-
     fn observe(&mut self, ev: &Evidence) {
-        let Evidence::PathOutcome {
-            origin,
-            path,
-            sent,
-            delivered,
-            ..
-        } = ev
-        else {
-            return;
-        };
-        let Some(&(child, parent)) = path.first() else {
-            return;
-        };
-        // The first link of the snapshot must be the origin's own hop;
-        // anything else is a malformed outcome and is ignored.
-        if child != *origin {
-            return;
-        }
-        self.sink = path.last().map(|&(_, dst)| dst).or(self.sink);
-        self.links
-            .entry((child, parent))
-            .or_default()
-            .push(*sent, *delivered);
-        self.nodes
-            .entry(*origin)
-            .or_default()
-            .push(*sent, *delivered);
+        self.0.observe(ev);
     }
 
     fn snapshot(&self, q: &SnapshotQuery) -> Vec<((u32, u32), LossEstimate)> {
-        let a = self.path_survival();
-        let mut out = Vec::new();
-        for (&(k, p), agg) in &self.links {
-            if agg.sent < q.min_samples {
-                continue;
-            }
-            let Some(&a_p) = a.get(&p) else { continue };
-            let sigma = (agg.gamma / a_p).clamp(EPS, 1.0);
+        solve(&self.0, q)
+    }
+}
+
+/// MINC per-edge loss estimates from pooled routes, sorted by edge.
+pub fn solve(paths: &PathTable, q: &SnapshotQuery) -> Vec<((u32, u32), LossEstimate)> {
+    fn pool(tally: &mut (u64, u64), sent: u64, delivered: u64) {
+        tally.0 += sent;
+        tally.1 += delivered;
+    }
+    let gamma = |(sent, delivered): (u64, u64)| (delivered as f64 / sent as f64).clamp(EPS, 1.0);
+
+    // Per-(child, parent) tallies behind γ_{k,p} and per-origin tallies
+    // behind γ_k; a route's first hop leaves its origin.
+    let mut edges: BTreeMap<(u32, u32), (u64, u64)> = BTreeMap::new();
+    let mut nodes: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
+    // Path survivals A_p: 1 at every sink (a route's tail)...
+    let mut a: BTreeMap<u32, f64> = BTreeMap::new();
+    for (route, sent, delivered) in paths.rows() {
+        let (first, last) = (route[0], route[route.len() - 1]);
+        a.insert(last.1, 1.0);
+        pool(edges.entry(first).or_default(), sent, delivered);
+        pool(nodes.entry(first.0).or_default(), sent, delivered);
+    }
+    // ...then every node that originated traffic measures its own path...
+    for (&k, &tally) in &nodes {
+        a.entry(k).or_insert_with(|| gamma(tally));
+    }
+    // ...and a silent parent falls back to the edges into it.
+    let mut below: BTreeMap<u32, (u64, u64)> = BTreeMap::new();
+    for (&(_, p), &(sent, delivered)) in &edges {
+        if !a.contains_key(&p) {
+            pool(below.entry(p).or_default(), sent, delivered);
+        }
+    }
+    for (p, tally) in below {
+        a.insert(p, gamma(tally));
+    }
+
+    edges
+        .into_iter()
+        .filter(|&(_, (sent, _))| sent >= q.min_samples)
+        .map(|((k, p), (sent, delivered))| {
+            let sigma = (delivered as f64 / sent as f64 / a[&p]).clamp(EPS, 1.0);
             let loss = survival_to_transmission_loss(sigma, q.r);
-            out.push((
+            (
                 (k, p),
                 LossEstimate {
                     p_success: 1.0 - loss,
                     loss,
-                    n_samples: agg.sent,
+                    n_samples: sent,
                     stderr: None,
                 },
-            ));
-        }
-        out
-    }
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -324,9 +258,29 @@ mod tests {
     }
 
     #[test]
+    fn serves_every_sink_of_a_multi_sink_stream() {
+        // Two disjoint one-hop networks, sinks 0 and 10, each delivering
+        // 8 of 10 packets: both sinks anchor A = 1.
+        let mut est = MincEstimator::new();
+        for _ in 0..20 {
+            est.observe(&outcome(1, &[(1, 0)], 10, 8));
+            est.observe(&outcome(11, &[(11, 10)], 10, 8));
+        }
+        let q = SnapshotQuery {
+            now: SimTime::from_micros(0),
+            r: 1,
+            min_samples: 10,
+        };
+        let snap: BTreeMap<_, _> = est.snapshot(&q).into_iter().collect();
+        for link in [(1, 0), (11, 10)] {
+            assert!((snap[&link].loss - 0.2).abs() < 1e-9, "{link:?}: {snap:?}");
+        }
+    }
+
+    #[test]
     fn min_samples_filters_thin_edges() {
         let mut est = MincEstimator::new();
-        est.observe(&outcome(1, &[(1, 0)], 3, 3));
+        est.observe(&outcome(1, &[(1, 0)], 5, 5));
         let thin = SnapshotQuery {
             now: SimTime::from_micros(0),
             r: 1,

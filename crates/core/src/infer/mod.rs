@@ -21,31 +21,36 @@
 //! * [`Inference`] — the sink's backend stack. The protocol layer holds
 //!   one of these and calls [`Inference::observe`]; it never constructs a
 //!   concrete estimator.
+//! * [`PathTable`] — every `PathOutcome` pooled by exact route. It is the
+//!   one input of every end-to-end solver: MINC ([`minc::solve`]),
+//!   sparse-L1 ([`sparse::solve`]) and the traditional baseline's EM and
+//!   log-LS ([`crate::baseline`]).
 //!
-//! Three bake-off backends implement the trait (plus the windowed and
-//! Bayesian estimators, which predate it):
+//! Three bake-off backends answer [`Inference::snapshot`] (plus the
+//! windowed and Bayesian estimators, which predate it):
 //!
 //! | backend | evidence | algorithm |
 //! |---|---|---|
 //! | in-band ([`crate::estimator::NetworkEstimator`]) | `Hop` | truncation/censoring-corrected per-link MLE |
-//! | MINC ([`MincEstimator`]) | `PathOutcome` | Cáceres et al. multicast MLE, generalized to the dynamic-parent DAG |
-//! | sparse-L1 ([`SparseL1Estimator`]) | `PathOutcome` | FISTA sparse recovery of per-link log-transmission |
+//! | MINC ([`minc::solve`]) | `PathOutcome` | Cáceres et al. multicast MLE, generalized to the dynamic-parent DAG |
+//! | sparse-L1 ([`sparse::solve`]) | `PathOutcome` | FISTA sparse recovery of per-link log-transmission |
 //!
-//! The same fan-out feeds the traditional baseline's collector
-//! ([`crate::baseline::TraditionalTomography`]), which keeps every
-//! `PathOutcome` as a path measurement for its EM and log-LS solvers. It
-//! is not a bake-off backend: no [`EstimatorKind`] selects it.
+//! EM and log-LS are not bake-off backends: no [`EstimatorKind`] selects
+//! them. [`MincEstimator`] and [`SparseL1Estimator`] wrap a table and its
+//! solver as a standalone [`Estimator`] for a single-backend consumer such
+//! as the serving store.
 //!
 //! All backends are deterministic: fixed iteration orders (`BTreeMap`
 //! state), fixed iteration counts, no RNG.
 
 pub mod minc;
+mod paths;
 pub mod sparse;
 
 pub use minc::MincEstimator;
-pub use sparse::{SparseConfig, SparseL1Estimator};
+pub use paths::{PathTable, MIN_WINDOW_SENT};
+pub use sparse::SparseL1Estimator;
 
-use crate::baseline::TraditionalTomography;
 use crate::bayes::{BayesNetworkEstimator, BetaPrior};
 use crate::estimator::{LossEstimate, NetworkEstimator};
 use crate::tracking::{WindowConfig, WindowedNetworkEstimator};
@@ -124,9 +129,6 @@ pub struct SnapshotQuery {
 /// query, bit-identical snapshot — and must ignore evidence kinds they
 /// don't consume rather than erroring, so one fan-out feeds every backend.
 pub trait Estimator: Send {
-    /// Stable backend name (CLI value, figure series label).
-    fn name(&self) -> &'static str;
-
     /// Ingests one evidence event.
     fn observe(&mut self, ev: &Evidence);
 
@@ -188,12 +190,12 @@ impl std::fmt::Display for EstimatorKind {
 /// stream. Owning construction here is what lets the protocol layer stay
 /// estimator-agnostic.
 ///
-/// All backends always ingest — the end-to-end ones (MINC, sparse-L1 and
-/// the traditional EM/log-LS collector) only accumulate window tallies
-/// and defer their solve to snapshot time, so this costs nothing on the
-/// hot path — which is how one cached run can serve the whole bake-off.
-/// The scenario runner moves the end-to-end state out when a run ends and
-/// solves each of their estimate maps only when something reads it.
+/// All backends always ingest. The end-to-end solvers (MINC, sparse-L1,
+/// EM and log-LS) share one [`PathTable`] that only pools window tallies
+/// and solve when read, so this costs nothing on the hot path — which is
+/// how one cached run can serve the whole bake-off. The scenario runner
+/// moves the table out when a run ends and solves each estimate map only
+/// when something reads it.
 pub struct Inference {
     /// In-band truncation/censoring-corrected MLE (plus its naive
     /// method-of-moments readout).
@@ -202,13 +204,9 @@ pub struct Inference {
     pub windowed: WindowedNetworkEstimator,
     /// Conjugate Bayesian in-band estimator (prior ablation).
     pub bayes: BayesNetworkEstimator,
-    /// Multicast-MLE dual over end-to-end outcomes.
-    pub minc: MincEstimator,
-    /// Sparse-recovery backend over end-to-end outcomes.
-    pub sparse: SparseL1Estimator,
-    /// The traditional end-to-end baseline's path measurements (solved by
-    /// EM or log-LS on demand; see [`crate::baseline`]).
-    pub traditional: TraditionalTomography,
+    /// End-to-end outcomes pooled by route: the input of MINC, sparse-L1
+    /// and the traditional baseline's EM and log-LS, solved on demand.
+    pub paths: PathTable,
     /// Evidence tap: when set, every observed event is appended here after
     /// the backends have seen it. Replaying the captured stream into a
     /// fresh stack reproduces every backend's state bit for bit.
@@ -223,9 +221,7 @@ impl Inference {
             in_band: NetworkEstimator::new(),
             windowed: WindowedNetworkEstimator::new(tracking),
             bayes: BayesNetworkEstimator::new(BetaPrior::default()),
-            minc: MincEstimator::new(),
-            sparse: SparseL1Estimator::new(SparseConfig::default()),
-            traditional: TraditionalTomography::new(),
+            paths: PathTable::new(),
             capture: None,
         }
     }
@@ -238,20 +234,23 @@ impl Inference {
         Estimator::observe(&mut self.in_band, ev);
         Estimator::observe(&mut self.windowed, ev);
         Estimator::observe(&mut self.bayes, ev);
-        Estimator::observe(&mut self.minc, ev);
-        Estimator::observe(&mut self.sparse, ev);
-        self.traditional.observe(ev);
+        self.paths.observe(ev);
         if let Some(capture) = &self.capture {
             capture.lock().push(ev.clone());
         }
     }
 
-    /// The bake-off backend for `kind`.
-    pub fn backend(&self, kind: EstimatorKind) -> &dyn Estimator {
+    /// The bake-off backend `kind`'s current per-link estimates, sorted by
+    /// link key.
+    pub fn snapshot(
+        &self,
+        kind: EstimatorKind,
+        q: &SnapshotQuery,
+    ) -> Vec<((u32, u32), LossEstimate)> {
         match kind {
-            EstimatorKind::InBand => &self.in_band,
-            EstimatorKind::Minc => &self.minc,
-            EstimatorKind::SparseL1 => &self.sparse,
+            EstimatorKind::InBand => Estimator::snapshot(&self.in_band, q),
+            EstimatorKind::Minc => minc::solve(&self.paths, q),
+            EstimatorKind::SparseL1 => sparse::solve(&self.paths, q),
         }
     }
 }
@@ -296,11 +295,11 @@ mod tests {
             min_samples: 1,
         };
         // The in-band trio saw the hop observations...
-        assert_eq!(inf.backend(EstimatorKind::InBand).snapshot(&q).len(), 1);
+        assert_eq!(inf.snapshot(EstimatorKind::InBand, &q).len(), 1);
         assert_eq!(Estimator::snapshot(&inf.bayes, &q).len(), 1);
         // ...and the end-to-end backends saw the path outcome.
-        assert!(!inf.backend(EstimatorKind::Minc).snapshot(&q).is_empty());
-        assert!(!inf.backend(EstimatorKind::SparseL1).snapshot(&q).is_empty());
+        assert!(!inf.snapshot(EstimatorKind::Minc, &q).is_empty());
+        assert!(!inf.snapshot(EstimatorKind::SparseL1, &q).is_empty());
     }
 
     #[test]
@@ -337,8 +336,8 @@ mod tests {
         };
         for kind in EstimatorKind::ALL {
             assert_eq!(
-                live.backend(kind).snapshot(&q),
-                replayed.backend(kind).snapshot(&q),
+                live.snapshot(kind, &q),
+                replayed.snapshot(kind, &q),
                 "{kind} diverged under replay"
             );
         }

@@ -26,232 +26,186 @@
 //!   `λ = λ_scale · max_l |∇f(0)_l|` so the regularization is scale-free
 //!   in traffic volume.
 //!
-//! Rows are aggregated by exact link sequence (`BTreeMap` keyed on the
-//! path), so state stays bounded by the number of *distinct routes* seen,
-//! not the number of windows. Everything — row order, link order, power
+//! Rows are the routes of a [`PathTable`], one per exact link sequence,
+//! so the problem size is the number of *distinct routes* seen, not the
+//! number of windows. Everything — row order, link order, power
 //! iteration, FISTA — runs a fixed number of exactly ordered float
 //! operations: deterministic by construction, no RNG anywhere.
 
-use super::{Estimator, Evidence, SnapshotQuery};
+use super::paths::Route;
+use super::{Estimator, Evidence, PathTable, SnapshotQuery};
 use crate::baseline::survival_to_transmission_loss;
 use crate::estimator::LossEstimate;
-use std::collections::BTreeMap;
 
 /// Delivery ratios are floored before the log so a fully black-holed
-/// window contributes a large-but-finite attenuation (`ln 1e-3 ≈ −6.9`).
+/// route contributes a large-but-finite attenuation (`ln 1e-3 ≈ −6.9`).
 const DR_FLOOR: f64 = 1e-3;
 
-/// Tuning for the sparse solver.
-#[derive(Debug, Clone, Copy)]
-pub struct SparseConfig {
-    /// Regularization as a fraction of `max_l |∇f(0)_l|` (at 1.0 the
-    /// all-zero solution is optimal; smaller keeps more links active).
-    pub lambda_scale: f64,
-    /// FISTA iteration budget.
-    pub max_iters: usize,
-    /// Early-exit threshold on the max coordinate change (deterministic:
-    /// a pure function of the data).
-    pub tol: f64,
-}
+/// Regularization as a fraction of `max_l |∇f(0)_l|` (at 1.0 the all-zero
+/// solution is optimal; smaller keeps more links active).
+const LAMBDA_SCALE: f64 = 0.02;
 
-impl Default for SparseConfig {
-    fn default() -> Self {
-        Self {
-            lambda_scale: 0.02,
-            max_iters: 250,
-            tol: 1e-10,
-        }
-    }
-}
+/// FISTA iteration budget.
+const MAX_ITERS: usize = 250;
 
-/// The sparse-recovery backend. Consumes [`Evidence::PathOutcome`] only.
-#[derive(Debug, Clone)]
-pub struct SparseL1Estimator {
-    cfg: SparseConfig,
-    /// Outcome tallies keyed by the exact route: path → (sent, delivered).
-    rows: BTreeMap<Vec<(u32, u32)>, (u64, u64)>,
-}
+/// Early-exit threshold on the max coordinate change (deterministic: a
+/// pure function of the data).
+const TOL: f64 = 1e-10;
+
+/// The sparse-recovery backend as a standalone [`Estimator`] over
+/// [`Evidence::PathOutcome`]s: a [`PathTable`] solved by [`solve`] at
+/// snapshot time.
+#[derive(Debug, Clone, Default)]
+pub struct SparseL1Estimator(PathTable);
 
 impl SparseL1Estimator {
     /// Creates an empty backend.
-    pub fn new(cfg: SparseConfig) -> Self {
-        Self {
-            cfg,
-            rows: BTreeMap::new(),
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
-}
-
-/// One least-squares row: link indices (with multiplicity, for looping
-/// snapshots), weight, and log delivery ratio.
-struct Row {
-    idx: Vec<usize>,
-    w: f64,
-    y: f64,
 }
 
 impl Estimator for SparseL1Estimator {
-    fn name(&self) -> &'static str {
-        "sparse-l1"
-    }
-
     fn observe(&mut self, ev: &Evidence) {
-        let Evidence::PathOutcome {
-            path,
-            sent,
-            delivered,
-            ..
-        } = ev
-        else {
-            return;
-        };
-        if path.is_empty() || *sent == 0 {
-            return;
-        }
-        let entry = self.rows.entry(path.clone()).or_insert((0, 0));
-        entry.0 += sent;
-        entry.1 += (*delivered).min(*sent);
+        self.0.observe(ev);
     }
 
     fn snapshot(&self, q: &SnapshotQuery) -> Vec<((u32, u32), LossEstimate)> {
-        // Link universe, sorted — the solver's coordinate order.
-        let mut links: Vec<(u32, u32)> = self.rows.keys().flatten().copied().collect();
-        links.sort_unstable();
-        links.dedup();
-        if links.is_empty() {
-            return Vec::new();
-        }
-        let index: BTreeMap<(u32, u32), usize> =
-            links.iter().enumerate().map(|(i, &l)| (l, i)).collect();
-        let rows: Vec<Row> = self
-            .rows
-            .iter()
-            .map(|(path, &(sent, delivered))| Row {
-                idx: path.iter().map(|l| index[l]).collect(),
-                w: sent as f64,
-                y: ((delivered as f64 / sent as f64).clamp(DR_FLOOR, 1.0)).ln(),
-            })
-            .collect();
-        let m = links.len();
-
-        // Gradient of the smooth part at `u`:
-        // ∇f_l = Σ_{rows r ∋ l} w_r (y_r + Σ_{k∈r} u_k), per multiplicity.
-        let grad = |u: &[f64], g: &mut [f64]| {
-            g.iter_mut().for_each(|v| *v = 0.0);
-            for row in &rows {
-                let resid = row.y + row.idx.iter().map(|&i| u[i]).sum::<f64>();
-                for &i in &row.idx {
-                    g[i] += row.w * resid;
-                }
-            }
-        };
-
-        // λ from the gradient at zero; if the data are all clean
-        // (every y = 0) the zero vector is already optimal.
-        let mut g0 = vec![0.0; m];
-        grad(&vec![0.0; m], &mut g0);
-        let gmax = g0.iter().fold(0.0f64, |acc, g| acc.max(g.abs()));
-        if gmax == 0.0 {
-            return self.report(&links, &vec![0.0; m], q);
-        }
-        let lambda = self.cfg.lambda_scale * gmax;
-
-        // Lipschitz bound for the step size: ‖AᵀWA‖₂ by power iteration
-        // from a fixed all-ones start (deterministic; 30 rounds is plenty
-        // at these dimensions).
-        let mut v = vec![1.0 / (m as f64).sqrt(); m];
-        let mut av = vec![0.0; m];
-        let mut lip = 1.0f64;
-        for _ in 0..30 {
-            av.iter_mut().for_each(|x| *x = 0.0);
-            for row in &rows {
-                let dot: f64 = row.idx.iter().map(|&i| v[i]).sum();
-                for &i in &row.idx {
-                    av[i] += row.w * dot;
-                }
-            }
-            let norm = av.iter().map(|x| x * x).sum::<f64>().sqrt();
-            if norm == 0.0 {
-                break;
-            }
-            lip = norm;
-            v.iter_mut().zip(&av).for_each(|(x, &a)| *x = a / norm);
-        }
-        let step = 1.0 / (lip * 1.01);
-
-        // FISTA with shift-and-project prox.
-        let mut u = vec![0.0; m];
-        let mut z = vec![0.0; m];
-        let mut g = vec![0.0; m];
-        let mut t = 1.0f64;
-        for _ in 0..self.cfg.max_iters {
-            grad(&z, &mut g);
-            let mut delta = 0.0f64;
-            let mut next = vec![0.0; m];
-            for i in 0..m {
-                next[i] = (z[i] - step * (g[i] + lambda)).max(0.0);
-                delta = delta.max((next[i] - u[i]).abs());
-            }
-            let t_next = 0.5 * (1.0 + (1.0 + 4.0 * t * t).sqrt());
-            for i in 0..m {
-                z[i] = next[i] + ((t - 1.0) / t_next) * (next[i] - u[i]);
-            }
-            u = next;
-            t = t_next;
-            if delta < self.cfg.tol {
-                break;
-            }
-        }
-        self.report(&links, &u, q)
+        solve(&self.0, q)
     }
 }
 
-impl SparseL1Estimator {
-    /// Converts the solved attenuation vector into per-link estimates.
-    fn report(
-        &self,
-        links: &[(u32, u32)],
-        u: &[f64],
-        q: &SnapshotQuery,
-    ) -> Vec<((u32, u32), LossEstimate)> {
-        // Per-link sample support: packets on rows containing the link.
-        let mut support = vec![0u64; links.len()];
-        let index: BTreeMap<(u32, u32), usize> =
-            links.iter().enumerate().map(|(i, &l)| (l, i)).collect();
-        for (path, &(sent, _)) in &self.rows {
-            let mut seen: Vec<usize> = path.iter().map(|l| index[l]).collect();
-            seen.sort_unstable();
-            seen.dedup();
-            for i in seen {
-                support[i] += sent;
+/// Sparse-L1 per-link loss estimates from pooled routes, sorted by link.
+pub fn solve(paths: &PathTable, q: &SnapshotQuery) -> Vec<((u32, u32), LossEstimate)> {
+    // Link universe, sorted — the solver's coordinate order.
+    let (links, routes) = paths.resolve();
+    if links.is_empty() {
+        return Vec::new();
+    }
+    // Per route: weight and log delivery ratio.
+    let rows: Vec<(f64, f64)> = routes
+        .iter()
+        .map(|r| {
+            let dr = (r.delivered as f64 / r.sent as f64).clamp(DR_FLOOR, 1.0);
+            (r.sent as f64, dr.ln())
+        })
+        .collect();
+    let m = links.len();
+
+    // Gradient of the smooth part at `u`:
+    // ∇f_l = Σ_{rows r ∋ l} w_r (y_r + Σ_{k∈r} u_k), per multiplicity.
+    let grad = |u: &[f64], g: &mut [f64]| {
+        g.iter_mut().for_each(|v| *v = 0.0);
+        for (route, &(w, y)) in routes.iter().zip(&rows) {
+            let resid = y + route.idx.iter().map(|&i| u[i]).sum::<f64>();
+            for &i in &route.idx {
+                g[i] += w * resid;
             }
         }
-        links
-            .iter()
-            .zip(u)
-            .zip(support)
-            .filter(|(_, n)| *n >= q.min_samples)
-            .map(|((&link, &u_l), n)| {
-                let sigma = (-u_l).exp().clamp(0.0, 1.0);
-                let loss = survival_to_transmission_loss(sigma, q.r);
-                (
-                    link,
-                    LossEstimate {
-                        p_success: 1.0 - loss,
-                        loss,
-                        n_samples: n,
-                        stderr: None,
-                    },
-                )
-            })
-            .collect()
+    };
+
+    // λ from the gradient at zero; if the data are all clean
+    // (every y = 0) the zero vector is already optimal.
+    let mut g0 = vec![0.0; m];
+    grad(&vec![0.0; m], &mut g0);
+    let gmax = g0.iter().fold(0.0f64, |acc, g| acc.max(g.abs()));
+    if gmax == 0.0 {
+        return report(&links, &routes, &vec![0.0; m], q);
     }
+    let lambda = LAMBDA_SCALE * gmax;
+
+    // Lipschitz bound for the step size: ‖AᵀWA‖₂ by power iteration
+    // from a fixed all-ones start (deterministic; 30 rounds is plenty
+    // at these dimensions).
+    let mut v = vec![1.0 / (m as f64).sqrt(); m];
+    let mut av = vec![0.0; m];
+    let mut lip = 1.0f64;
+    for _ in 0..30 {
+        av.iter_mut().for_each(|x| *x = 0.0);
+        for (route, &(w, _)) in routes.iter().zip(&rows) {
+            let dot: f64 = route.idx.iter().map(|&i| v[i]).sum();
+            for &i in &route.idx {
+                av[i] += w * dot;
+            }
+        }
+        let norm = av.iter().map(|x| x * x).sum::<f64>().sqrt();
+        if norm == 0.0 {
+            break;
+        }
+        lip = norm;
+        v.iter_mut().zip(&av).for_each(|(x, &a)| *x = a / norm);
+    }
+    let step = 1.0 / (lip * 1.01);
+
+    // FISTA with shift-and-project prox.
+    let mut u = vec![0.0; m];
+    let mut z = vec![0.0; m];
+    let mut g = vec![0.0; m];
+    let mut t = 1.0f64;
+    for _ in 0..MAX_ITERS {
+        grad(&z, &mut g);
+        let mut delta = 0.0f64;
+        let mut next = vec![0.0; m];
+        for i in 0..m {
+            next[i] = (z[i] - step * (g[i] + lambda)).max(0.0);
+            delta = delta.max((next[i] - u[i]).abs());
+        }
+        let t_next = 0.5 * (1.0 + (1.0 + 4.0 * t * t).sqrt());
+        for i in 0..m {
+            z[i] = next[i] + ((t - 1.0) / t_next) * (next[i] - u[i]);
+        }
+        u = next;
+        t = t_next;
+        if delta < TOL {
+            break;
+        }
+    }
+    report(&links, &routes, &u, q)
+}
+
+/// Converts the solved attenuation vector into per-link estimates.
+fn report(
+    links: &[(u32, u32)],
+    routes: &[Route],
+    u: &[f64],
+    q: &SnapshotQuery,
+) -> Vec<((u32, u32), LossEstimate)> {
+    // Per-link sample support: packets on rows containing the link.
+    let mut support = vec![0u64; links.len()];
+    for route in routes {
+        let mut seen = route.idx.clone();
+        seen.sort_unstable();
+        seen.dedup();
+        for i in seen {
+            support[i] += route.sent;
+        }
+    }
+    links
+        .iter()
+        .zip(u)
+        .zip(support)
+        .filter(|(_, n)| *n >= q.min_samples)
+        .map(|((&link, &u_l), n)| {
+            let sigma = (-u_l).exp().clamp(0.0, 1.0);
+            let loss = survival_to_transmission_loss(sigma, q.r);
+            (
+                link,
+                LossEstimate {
+                    p_success: 1.0 - loss,
+                    loss,
+                    n_samples: n,
+                    stderr: None,
+                },
+            )
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dophy_sim::SimTime;
+    use std::collections::BTreeMap;
 
     fn outcome(origin: u32, path: &[(u32, u32)], sent: u64, delivered: u64) -> Evidence {
         Evidence::PathOutcome {
@@ -276,7 +230,7 @@ mod tests {
         // Star-over-chain: 3→2→0 and 4→2→0 share the clean 2→0 link;
         // only 3→2 is lossy. L1 should localize the loss to 3→2 and
         // report (exact) zeros elsewhere.
-        let mut est = SparseL1Estimator::new(SparseConfig::default());
+        let mut est = SparseL1Estimator::new();
         for _ in 0..60 {
             est.observe(&outcome(3, &[(3, 2), (2, 0)], 20, 15));
             est.observe(&outcome(4, &[(4, 2), (2, 0)], 20, 20));
@@ -297,7 +251,7 @@ mod tests {
         // Two lossy links measured through overlapping paths: the joint
         // solve must separate them instead of lumping the product onto
         // one hop.
-        let mut est = SparseL1Estimator::new(SparseConfig::default());
+        let mut est = SparseL1Estimator::new();
         for _ in 0..60 {
             // 2→0 survives 0.9; 3→2→0 survives 0.8·0.9.
             est.observe(&outcome(2, &[(2, 0)], 20, 18));
@@ -319,7 +273,7 @@ mod tests {
     #[test]
     fn snapshot_is_deterministic() {
         let build = || {
-            let mut est = SparseL1Estimator::new(SparseConfig::default());
+            let mut est = SparseL1Estimator::new();
             for i in 0..40u64 {
                 est.observe(&outcome(3, &[(3, 2), (2, 0)], 10 + i % 3, 8));
                 est.observe(&outcome(2, &[(2, 0)], 10, 9));
@@ -331,7 +285,7 @@ mod tests {
 
     #[test]
     fn clean_network_reports_zero_loss() {
-        let mut est = SparseL1Estimator::new(SparseConfig::default());
+        let mut est = SparseL1Estimator::new();
         for _ in 0..20 {
             est.observe(&outcome(1, &[(1, 0)], 20, 20));
         }

@@ -79,7 +79,7 @@ pub mod symbols;
 pub mod telemetry;
 pub mod tracking;
 
-pub use baseline::{PathMeasurement, TraditionalConfig, TraditionalTomography};
+pub use baseline::TraditionalConfig;
 pub use bayes::{BayesLinkEstimator, BayesNetworkEstimator, BetaPrior};
 pub use decoder::{decode_packet, DecodeError, DecodedPacket, LinkObservation};
 pub use diagnosis::{DiagnosisConfig, LinkHealth, NetworkHealthReport};
@@ -87,7 +87,8 @@ pub use encoder::{encode_hop, EncodeError};
 pub use estimator::{LinkEstimator, LossEstimate, NetworkEstimator};
 pub use header::{DophyHeader, Epoch};
 pub use infer::{
-    Estimator, EstimatorKind, Evidence, Inference, MincEstimator, SnapshotQuery, SparseL1Estimator,
+    Estimator, EstimatorKind, Evidence, Inference, MincEstimator, PathTable, SnapshotQuery,
+    SparseL1Estimator,
 };
 pub use metrics::{score, AccuracyReport};
 pub use model_mgr::{ModelManager, ModelSet, ModelUpdateConfig};

@@ -252,9 +252,10 @@ pub type TrueHops = Vec<(u32, u32, u16)>;
 pub struct SinkState {
     /// Model learning, epochs, dissemination.
     pub manager: ModelManager,
-    /// The inference stack (in-band MLE, windowed, Bayes, MINC, sparse-L1
-    /// and the traditional EM/log-LS collector), fed typed evidence from
-    /// decoded packets and from the scenario runner's window tallies.
+    /// The inference stack (in-band MLE, windowed, Bayes, and the route
+    /// table that MINC, sparse-L1 and the traditional EM/log-LS solve
+    /// from), fed typed evidence from decoded packets and from the
+    /// scenario runner's window tallies.
     /// Constructed and owned by [`crate::infer`] — the protocol layer
     /// never builds a concrete estimator and only talks to the stack
     /// through its fan-out.

@@ -149,10 +149,6 @@ impl WindowedNetworkEstimator {
 ///
 /// [`SnapshotQuery`]: crate::infer::SnapshotQuery
 impl crate::infer::Estimator for WindowedNetworkEstimator {
-    fn name(&self) -> &'static str {
-        "windowed"
-    }
-
     fn observe(&mut self, ev: &crate::infer::Evidence) {
         if let crate::infer::Evidence::Hop {
             at,

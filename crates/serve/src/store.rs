@@ -50,8 +50,7 @@
 
 use dophy::estimator::NetworkEstimator;
 use dophy::infer::{
-    Estimator, EstimatorKind, Evidence, MincEstimator, SnapshotQuery, SparseConfig,
-    SparseL1Estimator,
+    Estimator, EstimatorKind, Evidence, MincEstimator, SnapshotQuery, SparseL1Estimator,
 };
 use dophy::tracking::{WindowConfig, WindowedNetworkEstimator};
 use dophy::LossEstimate;
@@ -401,9 +400,7 @@ impl EstimateStore {
             (EstimatorKind::InBand, Some(w)) => Box::new(WindowedNetworkEstimator::new(w)),
             (EstimatorKind::InBand, None) => Box::new(NetworkEstimator::new()),
             (EstimatorKind::Minc, None) => Box::new(MincEstimator::new()),
-            (EstimatorKind::SparseL1, None) => {
-                Box::new(SparseL1Estimator::new(SparseConfig::default()))
-            }
+            (EstimatorKind::SparseL1, None) => Box::new(SparseL1Estimator::new()),
             (other, Some(_)) => {
                 panic!("windowed serving requires the in-band estimator, got {other}")
             }

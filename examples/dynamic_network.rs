@@ -8,9 +8,8 @@
 //! cargo run --release --example dynamic_network
 //! ```
 
-use dophy::baseline::{
-    survival_to_transmission_loss, PathMeasurement, TraditionalConfig, TraditionalTomography,
-};
+use dophy::baseline::{estimate_em, survival_to_transmission_loss, TraditionalConfig};
+use dophy::infer::PathTable;
 use dophy::metrics::score;
 use dophy::protocol::{build_simulation, DophyConfig};
 use dophy_sim::{LinkDynamics, NodeId, Placement, SimConfig, SimDuration};
@@ -39,7 +38,7 @@ fn main() {
     // Drive the run in 60 s windows; each window start snapshots the tree
     // the way the traditional baseline's periodic topology reports would.
     let n = engine.topology().node_count();
-    let mut tomo = TraditionalTomography::new();
+    let mut tomo = PathTable::new();
     let mut prev_sent = vec![0u64; n];
     let mut prev_delivered = vec![0u64; n];
     for _ in 0..30 {
@@ -65,14 +64,8 @@ fn main() {
             let delivered = s.delivered_per_origin[origin] - prev_delivered[origin];
             prev_sent[origin] = s.sent_per_origin[origin];
             prev_delivered[origin] = s.delivered_per_origin[origin];
-            if let (Some(path), true) = (&paths[origin], sent > 0) {
-                if !path.is_empty() {
-                    tomo.add(PathMeasurement {
-                        path: path.clone(),
-                        sent,
-                        delivered: delivered.min(sent),
-                    });
-                }
+            if let Some(path) = &paths[origin] {
+                tomo.add(path, sent, delivered);
             }
         }
     }
@@ -99,8 +92,7 @@ fn main() {
         .into_iter()
         .map(|(k, e)| (k, e.loss))
         .collect();
-    let trad: HashMap<(u32, u32), f64> = tomo
-        .estimate_em(&TraditionalConfig::default())
+    let trad: HashMap<(u32, u32), f64> = estimate_em(&tomo, &TraditionalConfig::default())
         .into_iter()
         .map(|(k, sigma)| (k, survival_to_transmission_loss(sigma, r)))
         .collect();

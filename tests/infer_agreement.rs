@@ -137,8 +137,7 @@ proptest! {
             (EstimatorKind::SparseL1, 0.08),
         ] {
             let snap: BTreeMap<(u32, u32), f64> = inf
-                .backend(kind)
-                .snapshot(&q)
+                .snapshot(kind, &q)
                 .into_iter()
                 .map(|(k, e)| (k, e.loss))
                 .collect();
@@ -157,7 +156,7 @@ proptest! {
         let again = run_world(seed, &loss);
         for kind in EstimatorKind::ALL {
             prop_assert!(
-                inf.backend(kind).snapshot(&q) == again.backend(kind).snapshot(&q),
+                inf.snapshot(kind, &q) == again.snapshot(kind, &q),
                 "{kind} not bit-identical across same-seed runs"
             );
         }

@@ -1,8 +1,9 @@
 //! Property-based tests on the estimation stack: statistical invariants of
 //! the truncated/censored MLE and the traditional-tomography solvers.
 
-use dophy::baseline::{PathMeasurement, TraditionalConfig, TraditionalTomography};
+use dophy::baseline::{estimate_em, estimate_logls, TraditionalConfig};
 use dophy::estimator::LinkEstimator;
+use dophy::infer::PathTable;
 use dophy_coding::aggregate::AttemptObservation;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -104,7 +105,7 @@ proptest! {
     fn em_recovers_planted_chain(
         sigmas in proptest::collection::vec(0.5f64..0.99, 2..6),
     ) {
-        let mut tomo = TraditionalTomography::new();
+        let mut tomo = PathTable::new();
         // Chain 0 <- 1 <- 2 ... ; measurements for every suffix give the
         // solver enough leverage to separate links.
         let sent = 1_000_000u64;
@@ -114,20 +115,15 @@ proptest! {
                 .map(|i| (i as u32, (i - 1) as u32))
                 .collect();
             let dr: f64 = sigmas[..start].iter().product();
-            tomo.add(PathMeasurement {
-                path,
-                sent,
-                delivered: (sent as f64 * dr).round() as u64,
-            });
+            tomo.add(&path, sent, (sent as f64 * dr).round() as u64);
         }
         // Deep lossy chains (dr ≈ 0.5^5) have a flat likelihood surface;
         // give EM enough iterations to actually converge.
         let cfg = TraditionalConfig {
             max_iters: 20_000,
             tol: 1e-10,
-            ..TraditionalConfig::default()
         };
-        let est = tomo.estimate_em(&cfg);
+        let est = estimate_em(&tomo, &cfg);
         for (i, &sig) in sigmas.iter().enumerate() {
             let link = ((i + 1) as u32, i as u32);
             let got = est[&link];
@@ -147,16 +143,12 @@ proptest! {
             1..10,
         ),
     ) {
-        let mut tomo = TraditionalTomography::new();
+        let mut tomo = PathTable::new();
         for (path, sent, delivered) in raw {
-            tomo.add(PathMeasurement {
-                path,
-                sent,
-                delivered: delivered.min(sent),
-            });
+            tomo.add(&path, sent, delivered);
         }
-        let cfg = TraditionalConfig { min_sent: 1, ..TraditionalConfig::default() };
-        for v in tomo.estimate_em(&cfg).values().chain(tomo.estimate_logls(&cfg).values()) {
+        let cfg = TraditionalConfig::default();
+        for v in estimate_em(&tomo, &cfg).values().chain(estimate_logls(&tomo, &cfg).values()) {
             prop_assert!(v.is_finite() && (0.0..=1.0).contains(v), "estimate {v}");
         }
     }
