@@ -133,7 +133,7 @@ fn main() {
     }
     eprintln!(
         ">>> suite: {:.1}s wall | {} workers (peak {}) | {} unique runs, {} cache hits",
-        rep.suite_wall_seconds, rep.jobs, rep.max_pool_depth, rep.unique_runs, rep.cache_hits
+        rep.suite_wall_seconds, rep.jobs, rep.max_pool_depth, rep.cache_misses, rep.cache_hits
     );
 
     let out_dir = std::path::Path::new("target/experiments");

@@ -154,8 +154,6 @@ pub struct HarnessReport {
     pub jobs: usize,
     /// End-to-end suite wall-clock (cells + reduces), seconds.
     pub suite_wall_seconds: f64,
-    /// Simulations actually executed for run cells (= cache misses).
-    pub unique_runs: u64,
     /// Run cells served from the cache.
     pub cache_hits: u64,
     /// Run cells that had to execute.
@@ -461,7 +459,6 @@ pub fn execute_plans(plans: Vec<Plan>, jobs: usize) -> SuiteOutcome {
     let report = HarnessReport {
         jobs: workers,
         suite_wall_seconds: shared.t0.elapsed().as_secs_f64(),
-        unique_runs: shared.cache_misses.load(Ordering::SeqCst),
         cache_hits: shared.cache_hits.load(Ordering::SeqCst),
         cache_misses: shared.cache_misses.load(Ordering::SeqCst),
         max_pool_depth: shared.max_depth.load(Ordering::SeqCst),

@@ -29,14 +29,6 @@ impl BitWriter {
         Self::default()
     }
 
-    /// Creates a writer with capacity for roughly `bits` bits.
-    pub fn with_capacity_bits(bits: usize) -> Self {
-        Self {
-            buf: Vec::with_capacity(bits / 8 + 1),
-            ..Self::default()
-        }
-    }
-
     /// Writes a single bit (`true` = 1).
     #[inline]
     pub fn write_bit(&mut self, bit: bool) {

@@ -243,11 +243,6 @@ impl RangeEncoder {
         Ok(full)
     }
 
-    /// Number of bytes emitted so far (excludes pending cache/low bytes).
-    pub fn emitted_len(&self) -> usize {
-        self.out.len()
-    }
-
     /// Total stream length if the encoder were finished right now: emitted
     /// bytes plus the flush tail. Used for per-packet overhead accounting.
     pub fn finished_len_hint(&self) -> usize {

@@ -70,11 +70,6 @@ impl Streaming {
         }
     }
 
-    /// Sample standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest observation (NaN if empty).
     pub fn min(&self) -> f64 {
         if self.n == 0 {
@@ -146,11 +141,6 @@ impl Ewma {
     /// Current estimate, if any sample has arrived.
     pub fn value(&self) -> Option<f64> {
         self.value
-    }
-
-    /// Current estimate or `default` when unseeded.
-    pub fn value_or(&self, default: f64) -> f64 {
-        self.value.unwrap_or(default)
     }
 }
 

@@ -50,13 +50,6 @@ impl LinkTruth {
         self.empirical_prr().map(|p| 1.0 - p)
     }
 
-    /// Empirical PRR pooling data and beacon samples (more precise truth on
-    /// links that carried little data traffic).
-    pub fn pooled_prr(&self) -> Option<f64> {
-        let tx = self.data_tx + self.bcast_tx;
-        (tx > 0).then(|| (self.data_rx + self.bcast_rx) as f64 / tx as f64)
-    }
-
     /// Adds another link's counters into this one (trace merging).
     fn accumulate(&mut self, src: &LinkTruth) {
         self.data_tx += src.data_tx;
