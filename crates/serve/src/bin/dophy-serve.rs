@@ -7,20 +7,22 @@
 //! ```text
 //! dophy-serve --check                          # determinism check (exit 1 on mismatch)
 //! dophy-serve --check --sims 4 --side 5 --duration 900   # bigger firehose
-//! dophy-serve --check --store-shards 4         # sharded vs serial byte identity
+//! dophy-serve --check --store-shards 2         # sharded vs serial byte identity
 //! dophy-serve --check --ttl 300 --window 120   # freshness-bounded serving
 //! dophy-serve --listen 127.0.0.1:7431          # ingest, then serve over TCP
 //! dophy-serve --connect 127.0.0.1:7431 --check # compare wire answers vs local recompute
 //! ```
 //!
 //! `--check` (without `--connect`) ingests the merged firehose into the
-//! configured store — sharded with per-shard ingest threads when
+//! configured store — with one ingest thread per shard when
 //! `--store-shards` > 1 — while query threads hammer it, cuts the
 //! canonical snapshot at the half-way sequence number and at the end,
 //! then round-trips the evidence log through JSON and replays it
-//! serially into a fresh *single* store. All cuts must serialize to the
+//! serially into a fresh one-shard store. All cuts must serialize to the
 //! same bytes: a query at evidence-seq S answers identically live or
 //! replayed, sharded or not, regardless of concurrent query load.
+//! Sparse-L1 solves over every route at once, so it refuses
+//! `--store-shards` above 1.
 //!
 //! `--connect ADDR --check` recomputes the same firehose locally and
 //! demands that every framed answer off the wire is byte-identical to
@@ -35,7 +37,7 @@ use dophy::tracking::WindowConfig;
 use dophy_bench::RunSpec;
 use dophy_serve::{
     answer_from_snapshot, capture, Client, EstimateStore, Request, Response, ServeConfig,
-    ServeStore, ShardRanges, ShardedStore, StoreSnapshot, TomographyView,
+    ShardRanges, StoreSnapshot, TomographyView,
 };
 use dophy_sim::{LinkDynamics, MacConfig, Placement, RadioModel, SimConfig, SimDuration};
 use std::sync::Arc;
@@ -62,7 +64,7 @@ struct Cli {
 const USAGE: &str = "usage: dophy-serve (--check | --listen ADDR | --connect ADDR [--check]) \
 [--sims N] [--side S] [--duration SECS] [--seed N] [--shards N] \
 [--estimator in-band|minc|sparse-l1] [--publish-every N] [--top-k K] [--query-threads N] \
-[--jobs N] [--store-shards N] [--window SECS (in-band only)] [--ttl SECS]";
+[--jobs N] [--store-shards N (not sparse-l1)] [--window SECS (in-band only)] [--ttl SECS]";
 
 fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli {
@@ -145,6 +147,15 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             cli.estimator
         ));
     }
+    // Sparse-L1 solves one problem over every route; per-shard solves
+    // are not that solve, so refuse before the capture too.
+    if cli.store_shards > 1 && cli.estimator == EstimatorKind::SparseL1 {
+        return Err(format!(
+            "--store-shards {} needs a shardable estimator; sparse-l1 solves over every route \
+             at once",
+            cli.store_shards
+        ));
+    }
     Ok(cli)
 }
 
@@ -186,54 +197,22 @@ fn serve_config(cli: &Cli, spec: &RunSpec) -> ServeConfig {
     }
 }
 
-/// The store the CLI asked for: a single store for `--store-shards 1`,
-/// a block-aligned sharded router otherwise. Kept as an enum (not a
-/// trait object) so the sharded variant's threaded ingest path stays
-/// reachable.
-enum CliStore {
-    Single(Arc<EstimateStore>),
-    Sharded(Arc<ShardedStore>),
+/// The store the CLI asked for. Shard ranges align with the firehose's
+/// per-simulation node blocks, so byte identity holds for MINC too;
+/// there are never more shards than simulations.
+fn build_store(cli: &Cli, cfg: ServeConfig, node_count: usize) -> EstimateStore {
+    let ranges = ShardRanges::by_blocks(node_count as u32, cli.sims, cli.store_shards);
+    EstimateStore::sharded(cli.estimator, cfg, ranges)
 }
 
-impl CliStore {
-    /// Shard ranges align with the firehose's per-simulation node
-    /// blocks, so byte identity holds for every backend, including the
-    /// end-to-end ones.
-    fn build(cli: &Cli, cfg: ServeConfig, node_count: usize) -> Self {
-        if cli.store_shards <= 1 {
-            CliStore::Single(Arc::new(EstimateStore::new(cli.estimator, cfg)))
-        } else {
-            let ranges = ShardRanges::by_blocks(node_count as u32, cli.sims, cli.store_shards);
-            CliStore::Sharded(Arc::new(ShardedStore::new(cli.estimator, cfg, ranges)))
-        }
-    }
-
-    fn serve_store(&self) -> &dyn ServeStore {
-        match self {
-            CliStore::Single(s) => s.as_ref(),
-            CliStore::Sharded(s) => s.as_ref(),
-        }
-    }
-
-    fn view(&self) -> Arc<dyn TomographyView> {
-        match self {
-            CliStore::Single(s) => Arc::clone(s) as Arc<dyn TomographyView>,
-            CliStore::Sharded(s) => Arc::clone(s) as Arc<dyn TomographyView>,
-        }
-    }
-
-    /// Ingests a stream the way the store scales: inline for a single
-    /// store, one ingest thread per shard for the router.
-    fn ingest_stream(&self, events: &[Evidence]) {
-        match self {
-            CliStore::Single(s) => {
-                for ev in events {
-                    s.ingest(ev);
-                }
-            }
-            CliStore::Sharded(s) => {
-                s.ingest_threaded(events);
-            }
+/// Ingests a stream the way the store scales: inline at one shard, one
+/// ingest thread per shard above one.
+fn ingest_stream(store: &EstimateStore, events: &[Evidence]) {
+    if store.shards() > 1 {
+        store.ingest_threaded(events);
+    } else {
+        for ev in events {
+            store.ingest(ev);
         }
     }
 }
@@ -241,7 +220,7 @@ impl CliStore {
 /// Live-vs-replay byte identity at the configured shard count: the live
 /// side ingests through the CLI store (per-shard ingest threads when
 /// sharded) under concurrent query load; the replay side round-trips
-/// the log through JSON and replays it serially into a single store.
+/// the log through JSON and replays it serially into a one-shard store.
 fn replay_check(
     cli: &Cli,
     events: &[Evidence],
@@ -249,30 +228,27 @@ fn replay_check(
     node_count: usize,
 ) -> Result<(), String> {
     let half = events.len() / 2;
-    let live = CliStore::build(cli, cfg, node_count);
+    let live = build_store(cli, cfg, node_count);
     let done = std::sync::atomic::AtomicBool::new(false);
     let (live_half, live_full) = std::thread::scope(|s| {
-        let view = live.serve_store();
         for _ in 0..cli.query_threads {
             s.spawn(|| {
                 while !done.load(std::sync::atomic::Ordering::Relaxed) {
-                    std::hint::black_box(view.answer(&Request::TopK { k: 16 }));
-                    std::hint::black_box(view.answer(&Request::Stats));
+                    std::hint::black_box(live.answer(&Request::TopK { k: 16 }));
+                    std::hint::black_box(live.answer(&Request::Stats));
                 }
             });
         }
-        // A sharded live store exercises its threaded ingest path; the
-        // single store ingests inline. Both cut at the same seqs.
-        live.ingest_stream(&events[..half]);
-        let live_half = serde_json::to_string(&view.publish_cut()).unwrap();
-        live.ingest_stream(&events[half..]);
-        let live_full = serde_json::to_string(&view.publish_cut()).unwrap();
+        ingest_stream(&live, &events[..half]);
+        let live_half = serde_json::to_string(&*live.publish_now()).unwrap();
+        ingest_stream(&live, &events[half..]);
+        let live_full = serde_json::to_string(&*live.publish_now()).unwrap();
         done.store(true, std::sync::atomic::Ordering::Relaxed);
         (live_half, live_full)
     });
 
     // Replay side: round-trip the log through JSON, ingest serially into
-    // a single unsharded store.
+    // a one-shard store.
     let json = serde_json::to_string(events).map_err(|e| format!("serialize evidence: {e}"))?;
     let replayed: Vec<Evidence> =
         serde_json::from_str(&json).map_err(|e| format!("replay evidence: {e}"))?;
@@ -292,7 +268,7 @@ fn replay_check(
     if live_half != replay_half {
         return Err(format!(
             "snapshot at seq {half} differs live ({} store shard(s)) vs replayed ({} vs {} bytes)",
-            cli.store_shards,
+            live.shards(),
             live_half.len(),
             replay_half.len()
         ));
@@ -300,7 +276,7 @@ fn replay_check(
     if live_full != replay_full {
         return Err(format!(
             "final snapshot differs live ({} store shard(s)) vs replayed ({} vs {} bytes)",
-            cli.store_shards,
+            live.shards(),
             live_full.len(),
             replay_full.len()
         ));
@@ -310,7 +286,7 @@ fn replay_check(
          ({} store shard(s)) vs serial replay ({} + {} bytes)",
         half,
         events.len(),
-        cli.store_shards,
+        live.shards(),
         live_half.len(),
         live_full.len()
     );
@@ -346,15 +322,15 @@ fn capture_firehose(cli: &Cli) -> Result<(RunSpec, ServeConfig, dophy_serve::Fir
 /// Server mode: ingest the firehose, publish, serve forever.
 fn run_listen(cli: &Cli, addr: &str) -> Result<(), String> {
     let (_spec, cfg, hose) = capture_firehose(cli)?;
-    let store = CliStore::build(cli, cfg, hose.node_count);
-    store.ingest_stream(&hose.events);
-    store.serve_store().publish_cut();
+    let store = Arc::new(build_store(cli, cfg, hose.node_count));
+    ingest_stream(&store, &hose.events);
+    store.publish_now();
     eprintln!(
         "store ready: seq {}, {} store shard(s); serving on {addr}",
-        store.serve_store().seq(),
-        cli.store_shards.max(1)
+        store.seq(),
+        store.shards()
     );
-    dophy_serve::listen_and_serve(addr, store.view()).map_err(|e| format!("listen on {addr}: {e}"))
+    dophy_serve::listen_and_serve(addr, store).map_err(|e| format!("listen on {addr}: {e}"))
 }
 
 /// Client mode: query a listening service; with `--check`, recompute the
@@ -388,7 +364,7 @@ fn run_connect(cli: &Cli, addr: &str) -> Result<(), String> {
         return Ok(());
     }
 
-    // Recompute the same firehose locally, serially, unsharded — the
+    // Recompute the same firehose locally, serially, at one shard — the
     // reference the wire answers must match byte for byte.
     let (_spec, cfg, hose) = capture_firehose(cli)?;
     let local = EstimateStore::new(cli.estimator, cfg);
@@ -504,5 +480,15 @@ mod tests {
         }
         assert!(parse(&["--check", "--window", "120"]).is_ok());
         assert!(parse(&["--check", "--estimator", "minc"]).is_ok());
+    }
+
+    #[test]
+    fn parse_args_rejects_a_sharded_sparse_l1_store() {
+        let err = parse(&["--check", "--store-shards", "2", "--estimator", "sparse-l1"])
+            .err()
+            .expect("a sharded sparse-l1 store must be rejected");
+        assert!(err.contains("--store-shards"), "{err}");
+        assert!(parse(&["--check", "--store-shards", "1", "--estimator", "sparse-l1"]).is_ok());
+        assert!(parse(&["--check", "--store-shards", "2", "--estimator", "minc"]).is_ok());
     }
 }

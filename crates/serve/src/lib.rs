@@ -6,27 +6,28 @@
 //! [`dophy::infer::Evidence`] stream and answers queries **while**
 //! ingesting, from seq-tagged consistent snapshots.
 //!
-//! * [`store`] — the streaming estimate store. One writer ingests
-//!   evidence into any [`dophy::infer::EstimatorKind`] backend and
-//!   publishes an immutable [`store::StoreSnapshot`] every
-//!   `publish_every` events (a *generation*). Readers grab the current
+//! * [`store`] — the streaming estimate store. One clock and N ≥ 1
+//!   shard writers ingest evidence into any
+//!   [`dophy::infer::EstimatorKind`] backend, and every `publish_every`
+//!   events one function builds an immutable [`store::StoreSnapshot`]
+//!   (a *generation*) from the shards' parts. Readers grab the current
 //!   `Arc<StoreSnapshot>` and never block ingest; every snapshot is a
 //!   consistent cut tagged with the evidence sequence number it covers,
 //!   so the same query at the same seq is byte-identical live or
-//!   replayed.
+//!   replayed, and at any shard count the backend allows.
 //! * [`firehose`] — the replay/driver side: captures the typed evidence
-//!   streams of N parallel simulations (through the bench executor's
-//!   pool, via the [`dophy_bench::Instruments`] evidence tap), namespaces
-//!   each simulation's node ids into its own block, and merges the
-//!   streams into one deterministic firehose.
-//! * [`shard_store`] — the link-range-sharded router: N stores behind
-//!   one [`proto::TomographyView`], with per-shard ingest threads and a
-//!   cross-shard seq barrier that publishes one merged cut,
-//!   byte-identical to a single store's snapshot at every shard count.
+//!   streams of N parallel simulations (on a small pool of its own, via
+//!   the [`dophy_bench::Instruments`] evidence tap), namespaces each
+//!   simulation's node ids into its own block, and merges the streams
+//!   into one deterministic firehose.
+//! * [`shard_store`] — the sender-id ranges that partition a sharded
+//!   store's links, which backends they are exact for, and
+//!   [`shard_store::ShardedStore`], a forwarding type for callers that
+//!   name a sharded store.
 //! * [`proto`] — the versioned request/response vocabulary, the
-//!   [`proto::TomographyView`] query surface shared by both store
-//!   flavors and the wire, and [`proto::answer_from_snapshot`], the one
-//!   function both flavors answer with.
+//!   [`proto::TomographyView`] query surface shared by the store and
+//!   the wire, and [`proto::answer_from_snapshot`], the one function
+//!   the store answers with.
 //! * [`wire`] — the length-prefixed framed codec with strict decode
 //!   limits and typed [`wire::WireError`]s.
 //! * [`net`] — TCP transport: thread-per-connection server and a
@@ -35,7 +36,7 @@
 //! The `dophy-serve` binary ties it together:
 //!
 //! ```text
-//! dophy-serve --check --store-shards 4                # live-vs-replay byte identity
+//! dophy-serve --check --store-shards 2                # live-vs-replay byte identity
 //! dophy-serve --listen 127.0.0.1:7431                 # serve over TCP
 //! dophy-serve --connect 127.0.0.1:7431 --check        # client vs local recompute
 //! ```

@@ -1,5 +1,5 @@
 //! The service vocabulary: versioned request/response types and the
-//! query surface every store flavor serves.
+//! query surface the store serves.
 //!
 //! The wire protocol ([`crate::wire`]) moves exactly these types; the
 //! in-process query API answers exactly these types. That symmetry is the
@@ -128,8 +128,8 @@ pub enum Response {
 }
 
 /// The query surface: anything that can answer a [`Request`] from a
-/// consistent cut. Implemented by [`EstimateStore`] (one snapshot) and
-/// [`crate::shard_store::ShardedStore`] (a cross-shard barrier cut) —
+/// consistent cut. Implemented by [`EstimateStore`] at any shard count
+/// (and by [`crate::shard_store::ShardedStore`], which forwards to it) —
 /// and served verbatim over the wire, so in-process and networked
 /// answers share one code path.
 pub trait TomographyView: Send + Sync {
@@ -137,15 +137,13 @@ pub trait TomographyView: Send + Sync {
     fn answer(&self, req: &Request) -> Response;
 }
 
-/// The ingest surface shared by the store flavors, independent of
-/// sharding.
+/// The ingest surface, independent of sharding.
 pub trait ServeStore: TomographyView {
-    /// Ingests one evidence event; returns its global sequence number.
+    /// Ingests one evidence event; returns its sequence number.
     fn ingest(&self, ev: &Evidence) -> u64;
 
     /// Forces a publish covering everything ingested so far and returns
-    /// the canonical cut (for a sharded store: the cross-shard merge,
-    /// byte-identical to a single store at the same seq).
+    /// the canonical cut.
     fn publish_cut(&self) -> StoreSnapshot;
 
     /// Evidence events ingested so far.
@@ -153,8 +151,8 @@ pub trait ServeStore: TomographyView {
 }
 
 /// Answers a request from one immutable snapshot. This is the whole
-/// query path of both store flavors: a single store answers from its
-/// snapshot, the sharded router from its merged cut.
+/// query path of the store, at any shard count; only the shard count in
+/// `Stats` (1 here) is the store's own.
 pub fn answer_from_snapshot(snap: &StoreSnapshot, req: &Request) -> Response {
     match req {
         Request::PerLink { link } => Response::PerLink {
@@ -195,8 +193,16 @@ pub fn answer_from_snapshot(snap: &StoreSnapshot, req: &Request) -> Response {
 }
 
 impl TomographyView for EstimateStore {
+    /// Answers from the published cut; `Stats` reports the store's shard
+    /// count.
     fn answer(&self, req: &Request) -> Response {
-        answer_from_snapshot(&self.snapshot(), req)
+        match answer_from_snapshot(&self.snapshot(), req) {
+            Response::Stats(stats) => Response::Stats(ServiceStats {
+                store_shards: self.shards() as u64,
+                ..stats
+            }),
+            other => other,
+        }
     }
 }
 

@@ -1,4 +1,4 @@
-//! Link-range-sharded estimate stores behind one router.
+//! Link-range partitions for a sharded [`EstimateStore`].
 //!
 //! ## Partitioning
 //!
@@ -9,55 +9,34 @@
 //! (deduplicated). Because link keys order by `(sender, receiver)` and
 //! ranges are contiguous in sender, concatenating per-shard estimate
 //! tables in shard order reproduces the globally sorted table — no
-//! re-sort, no float comparisons, byte-identical to a single store.
+//! re-sort, no float comparisons. [`EstimateStore`] does the routing and
+//! the concatenation; this module only says where the ranges start.
 //!
-//! ## The seq barrier and byte identity
+//! ## Which backends shard
 //!
-//! The router owns the *global* evidence clock: one sequence number and
-//! the running max evidence timestamp. Shards are built with
-//! self-publishing disabled (`publish_every = u64::MAX`) and never
-//! publish. When the router runs a **barrier**, every shard cuts a
-//! snapshot at the router's global `now` (`EstimateStore::cut_at`), and
-//! the router merges the shard cuts into one canonical [`StoreSnapshot`]
-//! and publishes it atomically. Readers therefore never observe shard A
-//! at generation `g+1` next to shard B at `g` — the cut is untorn by
-//! construction, and debug builds assert it at every barrier.
+//! A sharded store's cut is byte-identical to a one-shard store's at the
+//! same evidence seq, at any shard count and with inline or threaded
+//! ingest, when every shard sees all the evidence its links' estimates
+//! depend on:
 //!
-//! Running barriers at the same cadence a single store publishes
-//! (`publish_every` global events) and aging TTLs/windows against the
-//! same global `now` makes the merged cut **byte-identical** to a single
-//! [`EstimateStore`] that ingested the same stream — at any shard count
-//! and any ingest-thread count. That identity is exact for the
-//! evidence-local backends (in-band, windowed in-band). For the
-//! end-to-end backends (`minc`, `sparse-l1`) it additionally requires
-//! ranges that never split a path across shards — which
-//! [`ShardRanges::by_blocks`] guarantees for firehose streams, where each
-//! simulation's nodes occupy one contiguous id block.
-//!
-//! ## One query path
-//!
-//! Because the merged cut equals a single store's snapshot, the router
-//! answers every request with [`answer_from_snapshot`] on it, exactly as
-//! a single store does; only [`ServiceStats::store_shards`] differs.
-//!
-//! ## Threaded ingest
-//!
-//! [`ShardedStore::ingest_threaded`] runs one ingest thread per shard fed
-//! by a channel, so heavy evidence streams are no longer single-writer
-//! bound: the router only routes (a range lookup) while shards do the
-//! backend work in parallel. Barriers block the router until every shard
-//! has sent back its cut — the same consistent cut as inline ingest,
-//! arrived at concurrently.
+//! * the in-band backends (cumulative or windowed) estimate each link
+//!   from its own hop evidence, so any ranges are exact;
+//! * MINC estimates a link from the outcomes of the routes over it and
+//!   of the routes its receiver originates, so it is exact over ranges
+//!   that never split a path across shards — which
+//!   [`ShardRanges::by_blocks`] guarantees for firehose streams, where
+//!   each simulation's nodes occupy one contiguous id block;
+//! * sparse-L1 is never exact: its regularization weight comes from the
+//!   largest gradient over all routes, its step from a power iteration
+//!   over all routes, and it stops on the largest change over all links,
+//!   so a per-shard solve is not the joint solve even when no route
+//!   straddles two shards. [`EstimateStore::sharded`] refuses it over
+//!   more than one range.
 
-use crate::proto::{
-    answer_from_snapshot, Request, Response, ServeStore, ServiceStats, TomographyView,
-};
-use crate::store::{EstimateStore, LinkKey, ServeConfig, StoreSnapshot};
+use crate::proto::{Request, Response, ServeStore, TomographyView};
+use crate::store::{EstimateStore, ServeConfig, StoreSnapshot};
 use dophy::infer::{EstimatorKind, Evidence};
-use dophy_sim::SimTime;
-use parking_lot::{Mutex, RwLock};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::ops::Deref;
 
 /// Contiguous sender-id ranges, one per shard. Range `i` spans
 /// `[starts[i], starts[i+1])`; the last range is unbounded above, so
@@ -83,7 +62,7 @@ impl ShardRanges {
     /// namespaces simulation `k` into block `k`): `blocks` blocks are
     /// split into `shards` contiguous groups, so no block — and hence no
     /// firehose path — ever straddles a shard boundary. This is the
-    /// alignment that extends byte identity to the end-to-end backends.
+    /// alignment that extends byte identity to MINC.
     #[must_use]
     pub fn by_blocks(block_size: u32, blocks: usize, shards: usize) -> Self {
         let shards = shards.max(1).min(blocks.max(1));
@@ -112,234 +91,42 @@ impl ShardRanges {
     }
 }
 
-/// The router's global evidence clock.
-struct RouterClock {
-    seq: u64,
-    now: SimTime,
-}
-
-impl RouterClock {
-    /// Counts `ev` and raises `now` to its timestamp; returns whether the
-    /// barrier is due (every `publish_every` global events).
-    fn advance(&mut self, ev: &Evidence, publish_every: u64) -> bool {
-        self.seq += 1;
-        self.now = self.now.max(ev.at());
-        self.seq.is_multiple_of(publish_every)
-    }
-}
-
-/// Message to a shard ingest thread: evidence to observe, or a barrier
-/// cut order carrying the global query time.
-enum ShardMsg<'a> {
-    Ev(&'a Evidence),
-    Cut { now: SimTime },
-}
-
-/// A link-range-sharded [`EstimateStore`] router: same query surface,
-/// same bytes, N writers.
-pub struct ShardedStore {
-    shards: Vec<EstimateStore>,
-    ranges: ShardRanges,
-    cfg: ServeConfig,
-    clock: Mutex<RouterClock>,
-    published: RwLock<Arc<StoreSnapshot>>,
-}
+/// A sharded [`EstimateStore`] as a type of its own, for callers that
+/// name one. It has no logic: it forwards everything to the store.
+pub struct ShardedStore(EstimateStore);
 
 impl ShardedStore {
-    /// Builds one backend per range. `cfg` reads exactly as for a single
-    /// [`EstimateStore`]: `publish_every` is the *global* barrier cadence
-    /// (shards never self-publish).
+    /// [`EstimateStore::sharded`].
     pub fn new(kind: EstimatorKind, cfg: ServeConfig, ranges: ShardRanges) -> Self {
-        let shard_cfg = ServeConfig {
-            publish_every: u64::MAX,
-            ..cfg
-        };
-        Self {
-            shards: (0..ranges.len())
-                .map(|_| EstimateStore::new(kind, shard_cfg))
-                .collect(),
-            ranges,
-            cfg,
-            clock: Mutex::new(RouterClock {
-                seq: 0,
-                now: SimTime::ZERO,
-            }),
-            published: RwLock::new(Arc::new(StoreSnapshot::empty(&cfg))),
-        }
+        Self(EstimateStore::sharded(kind, cfg, ranges))
     }
+}
 
-    /// The currently published merged cut.
-    pub fn cut(&self) -> Arc<StoreSnapshot> {
-        Arc::clone(&self.published.read())
-    }
+impl Deref for ShardedStore {
+    type Target = EstimateStore;
 
-    /// Calls `deliver` with each shard index that must observe `ev`:
-    /// the sender's owner for hop evidence, every hop's owner
-    /// (deduplicated) for path outcomes.
-    fn route(&self, ev: &Evidence, mut deliver: impl FnMut(usize)) {
-        match ev {
-            Evidence::Hop { sender, .. } => deliver(self.ranges.shard_of(*sender)),
-            Evidence::PathOutcome { origin, path, .. } => {
-                if path.is_empty() {
-                    deliver(self.ranges.shard_of(*origin));
-                    return;
-                }
-                let mut owners: Vec<usize> =
-                    path.iter().map(|&(a, _)| self.ranges.shard_of(a)).collect();
-                owners.sort_unstable();
-                owners.dedup();
-                for i in owners {
-                    deliver(i);
-                }
-            }
-        }
-    }
-
-    /// Merges per-shard snapshots into the canonical cut at the global
-    /// clock and publishes it. Estimate tables concatenate in shard order
-    /// (already globally sorted — ranges are contiguous in the sender,
-    /// the major key); top-k merges by `(loss bits, link)` descending,
-    /// exactly the single store's ranking order.
-    fn assemble(&self, clock: &RouterClock, snaps: &[Arc<StoreSnapshot>]) -> Arc<StoreSnapshot> {
-        let generation = snaps.first().map_or(0, |s| s.generation);
-        debug_assert!(
-            snaps.iter().all(|s| s.generation == generation),
-            "torn barrier: shard generations diverged"
-        );
-        let mut estimates = Vec::new();
-        let mut last_seen = Vec::new();
-        let mut stale = Vec::new();
-        let mut top_k: Vec<(LinkKey, f64)> = Vec::new();
-        for s in snaps {
-            estimates.extend_from_slice(&s.estimates);
-            last_seen.extend_from_slice(&s.last_seen);
-            stale.extend_from_slice(&s.stale);
-            top_k.extend_from_slice(&s.top_k);
-        }
-        top_k.sort_by(|a, b| {
-            b.1.to_bits()
-                .cmp(&a.1.to_bits())
-                .then_with(|| b.0.cmp(&a.0))
-        });
-        top_k.truncate(self.cfg.top_k);
-        let merged = Arc::new(StoreSnapshot {
-            seq: clock.seq,
-            generation,
-            now: clock.now,
-            r: self.cfg.r,
-            min_samples: self.cfg.min_samples,
-            ttl: self.cfg.ttl,
-            estimates,
-            last_seen,
-            stale,
-            top_k,
-        });
-        *self.published.write() = Arc::clone(&merged);
-        merged
-    }
-
-    /// Inline barrier: cut every shard at the global clock and publish
-    /// the merged cut. Caller holds the clock lock.
-    fn barrier_inline(&self, clock: &RouterClock) -> Arc<StoreSnapshot> {
-        let snaps: Vec<Arc<StoreSnapshot>> =
-            self.shards.iter().map(|s| s.cut_at(clock.now)).collect();
-        self.assemble(clock, &snaps)
-    }
-
-    /// Ingests the whole stream with one ingest thread per shard. The
-    /// router routes each event to its owning shard's channel and runs
-    /// the barrier every `publish_every` global events; a barrier blocks
-    /// until every shard has cut (channels are FIFO, so each shard has by
-    /// then observed exactly its prefix of the stream). Returns the final
-    /// global seq. The final cut still requires [`ServeStore::publish_cut`],
-    /// matching inline ingest.
-    pub fn ingest_threaded(&self, events: &[Evidence]) -> u64 {
-        let n = self.shards.len();
-        std::thread::scope(|scope| {
-            let mut event_txs = Vec::with_capacity(n);
-            let mut snap_rxs = Vec::with_capacity(n);
-            for shard in &self.shards {
-                let (tx, rx) = mpsc::channel::<ShardMsg<'_>>();
-                let (snap_tx, snap_rx) = mpsc::channel::<Arc<StoreSnapshot>>();
-                event_txs.push(tx);
-                snap_rxs.push(snap_rx);
-                scope.spawn(move || {
-                    while let Ok(msg) = rx.recv() {
-                        match msg {
-                            ShardMsg::Ev(ev) => {
-                                shard.ingest(ev);
-                            }
-                            ShardMsg::Cut { now } => {
-                                if snap_tx.send(shard.cut_at(now)).is_err() {
-                                    return;
-                                }
-                            }
-                        }
-                    }
-                });
-            }
-            let mut clock = self.clock.lock();
-            for ev in events {
-                let barrier = clock.advance(ev, self.cfg.publish_every);
-                self.route(ev, |i| {
-                    event_txs[i]
-                        .send(ShardMsg::Ev(ev))
-                        .expect("shard ingest thread died");
-                });
-                if barrier {
-                    for tx in &event_txs {
-                        tx.send(ShardMsg::Cut { now: clock.now })
-                            .expect("shard ingest thread died");
-                    }
-                    let snaps: Vec<Arc<StoreSnapshot>> = snap_rxs
-                        .iter()
-                        .map(|rx| rx.recv().expect("shard dropped its cut"))
-                        .collect();
-                    self.assemble(&clock, &snaps);
-                }
-            }
-            drop(event_txs);
-            clock.seq
-        })
+    fn deref(&self) -> &EstimateStore {
+        &self.0
     }
 }
 
 impl TomographyView for ShardedStore {
-    /// Answers from the merged cut with the single store's query path;
-    /// `Stats` advertises the shard count.
     fn answer(&self, req: &Request) -> Response {
-        match answer_from_snapshot(&self.cut(), req) {
-            Response::Stats(stats) => Response::Stats(ServiceStats {
-                store_shards: self.shards.len() as u64,
-                ..stats
-            }),
-            other => other,
-        }
+        self.0.answer(req)
     }
 }
 
 impl ServeStore for ShardedStore {
-    /// Inline (router-threaded) ingest: advances the global clock, routes
-    /// the event, and runs the barrier at the publish cadence.
     fn ingest(&self, ev: &Evidence) -> u64 {
-        let mut clock = self.clock.lock();
-        let barrier = clock.advance(ev, self.cfg.publish_every);
-        self.route(ev, |i| {
-            self.shards[i].ingest(ev);
-        });
-        if barrier {
-            self.barrier_inline(&clock);
-        }
-        clock.seq
+        self.0.ingest(ev)
     }
 
     fn publish_cut(&self) -> StoreSnapshot {
-        let clock = self.clock.lock();
-        (*self.barrier_inline(&clock)).clone()
+        self.0.publish_cut()
     }
 
     fn seq(&self) -> u64 {
-        self.clock.lock().seq
+        self.0.seq()
     }
 }
 

@@ -1,35 +1,50 @@
-//! The streaming estimate store: single-writer evidence ingest, lock-free
-//! (for the reader) seq-tagged snapshot queries.
+//! The streaming estimate store: evidence ingest into one or more shard
+//! writers, seq-tagged snapshot queries that never wait on it.
 //!
 //! ## Concurrency model
 //!
 //! One logical writer calls [`EstimateStore::ingest`] with each evidence
 //! event; any number of readers call [`EstimateStore::snapshot`]
-//! concurrently. The writer owns the backend behind a `Mutex`; readers
-//! never touch it — they clone the current `Arc<StoreSnapshot>` out of an
-//! `RwLock` whose write lock is held only for the pointer swap at publish
-//! time. Ingest therefore never waits on queries and queries never wait
-//! on ingest beyond that swap.
+//! concurrently. The writer state (the store's clock and its shard
+//! writers) sits behind one `Mutex`; readers never touch it — they clone
+//! the current `Arc<StoreSnapshot>` out of an `RwLock` whose write lock
+//! is held only for the pointer swap at publish time. Ingest therefore
+//! never waits on queries and queries never wait on ingest beyond that
+//! swap.
+//!
+//! ## Shards
+//!
+//! A store has one clock (evidence seq, query time, generation) and
+//! N ≥ 1 shard writers, each a backend plus the newest evidence
+//! timestamp per link it has seen. [`ShardRanges`] routes the evidence:
+//! hop evidence goes to the shard owning its sender, a path outcome to
+//! every shard owning one of its hops. [`EstimateStore::new`] is the
+//! one-shard case and [`EstimateStore::sharded`] the general one;
+//! [`EstimateStore::ingest_threaded`] runs each shard writer on a thread
+//! of its own. [`crate::shard_store`] says which backends shard.
 //!
 //! ## Generations and consistency
 //!
 //! Every `publish_every` ingested events the store builds a fresh
 //! immutable snapshot — a *generation* — tagged with the exact evidence
-//! sequence number it covers. Because the snapshot is built under the
-//! ingest lock, it is a consistent cut: it reflects evidence `1..=seq`
-//! and nothing else. Backends are deterministic pure functions of their
+//! sequence number it covers. Every shard cuts its part at the clock's
+//! query time, and one function concatenates the parts in shard order
+//! (which is link order) and publishes the result. The cut is built
+//! while the writer waits, so it reflects evidence `1..=seq` and nothing
+//! else, and since the generation lives in the one clock it cannot tear
+//! across shards. Backends are deterministic pure functions of their
 //! evidence stream, so a snapshot at seq S is byte-identical whether the
-//! stream arrived live under concurrent query load or was replayed from a
-//! serialized log (the `dophy-serve --check` mode and the crate's tests
-//! enforce this).
+//! stream arrived live under concurrent query load or was replayed from
+//! a serialized log (the `dophy-serve --check` mode and the crate's
+//! tests enforce this).
 //!
-//! ## Incremental top-k
+//! ## Top-k
 //!
-//! The top-k lossiest links are *maintained*, not recomputed per query:
-//! the store keeps a persistent ranking (`BTreeSet` ordered by loss bits)
-//! across generations and, at each publish, touches only the links whose
-//! estimate actually changed since the previous generation. Queries read
-//! the precomputed `top_k` vector straight off the snapshot.
+//! Each publish selects the `top_k` lossiest links once from the merged
+//! table, ordered by `(loss bits, link)` descending: loss is a
+//! non-negative finite float, so its IEEE-754 bit pattern orders exactly
+//! like its value. Queries read the `top_k` vector straight off the
+//! snapshot.
 //!
 //! ## Freshness: windows and TTL
 //!
@@ -46,8 +61,10 @@
 //!   evidence timestamp and its age.
 //!
 //! Both are deterministic functions of the evidence stream and the cut
-//! time, so every byte-identity guarantee carries over unchanged.
+//! time, and every shard ages against the one clock's query time, so
+//! every byte-identity guarantee carries over unchanged.
 
+use crate::shard_store::ShardRanges;
 use dophy::estimator::NetworkEstimator;
 use dophy::infer::{
     Estimator, EstimatorKind, Evidence, MincEstimator, SnapshotQuery, SparseL1Estimator,
@@ -57,7 +74,8 @@ use dophy::LossEstimate;
 use dophy_sim::{SimDuration, SimTime};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+use std::sync::mpsc;
 use std::sync::Arc;
 
 /// Directed link key (sender node id, receiver node id).
@@ -185,7 +203,7 @@ pub struct StoreSnapshot {
 }
 
 impl StoreSnapshot {
-    pub(crate) fn empty(cfg: &ServeConfig) -> Self {
+    fn empty(cfg: &ServeConfig) -> Self {
         Self {
             seq: 0,
             generation: 0,
@@ -258,27 +276,45 @@ impl StoreSnapshot {
     }
 }
 
-/// Writer-side state: the backend plus the cross-generation ranking.
-struct Ingest {
-    backend: Box<dyn Estimator>,
-    cfg: ServeConfig,
+/// The store's one evidence clock, whatever its shard count.
+#[derive(Default)]
+struct Clock {
     seq: u64,
     generation: u64,
     now: SimTime,
-    /// Newest evidence timestamp per link ever observed (drives TTL
-    /// aging and the snapshot's `last_seen` column).
-    last_seen: BTreeMap<LinkKey, SimTime>,
-    /// Last published per-link estimates, for diffing.
-    prev: BTreeMap<LinkKey, LossEstimate>,
-    /// Persistent ranking by `(loss bits, link)`. Loss is a non-negative
-    /// finite float, so its IEEE-754 bit pattern orders exactly like its
-    /// value and the set's tail is the lossiest links.
-    rank: BTreeSet<(u64, LinkKey)>,
 }
 
-impl Ingest {
-    /// Records evidence time for every link the event carries data about.
-    fn touch_links(&mut self, ev: &Evidence) {
+impl Clock {
+    /// Counts `ev` and raises `now` to its timestamp; returns whether a
+    /// publish is due (every `publish_every` events).
+    fn advance(&mut self, ev: &Evidence, publish_every: u64) -> bool {
+        self.seq += 1;
+        self.now = self.now.max(ev.at());
+        self.seq.is_multiple_of(publish_every)
+    }
+}
+
+/// One shard's part of a cut, in link order.
+#[derive(Default)]
+struct ShardCut {
+    estimates: Vec<(LinkKey, LossEstimate)>,
+    last_seen: Vec<SimTime>,
+    stale: Vec<(LinkKey, SimTime)>,
+}
+
+/// One shard writer: a backend plus the newest evidence timestamp per
+/// link it has seen (drives TTL aging and the snapshot's `last_seen`
+/// column).
+struct Shard {
+    backend: Box<dyn Estimator>,
+    last_seen: BTreeMap<LinkKey, SimTime>,
+}
+
+impl Shard {
+    /// Feeds `ev` to the backend and records its time for every link it
+    /// carries data about.
+    fn observe(&mut self, ev: &Evidence) {
+        self.backend.observe(ev);
         let mut touch = |link: LinkKey, at: SimTime| {
             let t = self.last_seen.entry(link).or_insert(at);
             if at > *t {
@@ -300,94 +336,56 @@ impl Ingest {
         }
     }
 
-    /// Builds the next generation's snapshot, cut at `self.now`. Touches
-    /// only links whose estimate changed since the previous publish.
-    /// With a TTL configured, links whose newest evidence is older than
-    /// the TTL are split out as stale instead of being reported.
-    fn publish(&mut self) -> Arc<StoreSnapshot> {
-        let q = SnapshotQuery {
-            now: self.now,
-            r: self.cfg.r,
-            min_samples: self.cfg.min_samples,
-        };
-        let reported = self.backend.snapshot(&q);
-        let (fresh, stale) = match self.cfg.ttl {
-            None => (reported, Vec::new()),
-            Some(ttl) => {
-                let mut fresh = Vec::with_capacity(reported.len());
-                let mut stale = Vec::new();
-                for (link, est) in reported {
-                    let seen = self.last_seen.get(&link).copied().unwrap_or(SimTime::ZERO);
-                    if self.now.since(seen) <= ttl {
-                        fresh.push((link, est));
-                    } else {
-                        stale.push((link, seen));
-                    }
+    /// This shard's part of the cut at `q.now`. With a TTL, links whose
+    /// newest evidence is older than the TTL are split out as stale
+    /// instead of being reported.
+    fn cut(&self, q: &SnapshotQuery, ttl: Option<SimDuration>) -> ShardCut {
+        let seen = |link: &LinkKey| self.last_seen.get(link).copied().unwrap_or(SimTime::ZERO);
+        let mut estimates = self.backend.snapshot(q);
+        let mut stale = Vec::new();
+        if let Some(ttl) = ttl {
+            estimates.retain(|(link, _)| {
+                let at = seen(link);
+                let fresh = q.now.since(at) <= ttl;
+                if !fresh {
+                    stale.push((*link, at));
                 }
-                (fresh, stale)
-            }
-        };
-        let mut new_links = 0usize;
-        for (link, est) in &fresh {
-            match self.prev.get(link) {
-                Some(old) if old.loss == est.loss => {}
-                Some(old) => {
-                    self.rank.remove(&(old.loss.to_bits(), *link));
-                    self.rank.insert((est.loss.to_bits(), *link));
-                }
-                None => {
-                    new_links += 1;
-                    self.rank.insert((est.loss.to_bits(), *link));
-                }
-            }
+                fresh
+            });
         }
-        // Links can drop out of a snapshot (e.g. a windowed backend aging
-        // a link below min_samples); evict their ranking entries.
-        if self.prev.len() + new_links > fresh.len() {
-            let fresh_keys: BTreeSet<LinkKey> = fresh.iter().map(|(k, _)| *k).collect();
-            for (link, old) in &self.prev {
-                if !fresh_keys.contains(link) {
-                    self.rank.remove(&(old.loss.to_bits(), *link));
-                }
-            }
-        }
-        self.prev = fresh.iter().cloned().collect();
-        self.generation += 1;
-        let top_k = self
-            .rank
-            .iter()
-            .rev()
-            .take(self.cfg.top_k)
-            .map(|&(bits, link)| (link, f64::from_bits(bits)))
-            .collect();
-        let last_seen = fresh
-            .iter()
-            .map(|(k, _)| self.last_seen.get(k).copied().unwrap_or(SimTime::ZERO))
-            .collect();
-        Arc::new(StoreSnapshot {
-            seq: self.seq,
-            generation: self.generation,
-            now: self.now,
-            r: self.cfg.r,
-            min_samples: self.cfg.min_samples,
-            ttl: self.cfg.ttl,
-            estimates: fresh,
+        let last_seen = estimates.iter().map(|(link, _)| seen(link)).collect();
+        ShardCut {
+            estimates,
             last_seen,
             stale,
-            top_k,
-        })
+        }
     }
+}
+
+/// Everything the writer owns.
+struct Writer {
+    clock: Clock,
+    shards: Vec<Shard>,
+}
+
+/// Message to a shard ingest thread: evidence to observe, or an order to
+/// cut its part at a query.
+enum ShardMsg<'a> {
+    Ev(&'a Evidence),
+    Cut(SnapshotQuery),
 }
 
 /// The service core: one of these per served tomography instance.
 pub struct EstimateStore {
-    ingest: Mutex<Ingest>,
+    cfg: ServeConfig,
+    ranges: ShardRanges,
+    writer: Mutex<Writer>,
     published: RwLock<Arc<StoreSnapshot>>,
 }
 
 impl EstimateStore {
-    /// Builds a store around a fresh backend of the given kind. With
-    /// `cfg.window` set, the backend is the tracking crate's windowed
+    /// Builds a one-shard store around a fresh backend of the given kind.
+    /// With `cfg.window` set, the backend is the tracking crate's windowed
     /// estimator (time-resolved in-band estimates); that combination is
     /// only defined for [`EstimatorKind::InBand`].
     ///
@@ -396,69 +394,125 @@ impl EstimateStore {
     /// When `cfg.window` is set with an end-to-end estimator kind — the
     /// windowed backend consumes in-band hop evidence only.
     pub fn new(kind: EstimatorKind, cfg: ServeConfig) -> Self {
-        let backend: Box<dyn Estimator> = match (kind, cfg.window) {
-            (EstimatorKind::InBand, Some(w)) => Box::new(WindowedNetworkEstimator::new(w)),
-            (EstimatorKind::InBand, None) => Box::new(NetworkEstimator::new()),
-            (EstimatorKind::Minc, None) => Box::new(MincEstimator::new()),
-            (EstimatorKind::SparseL1, None) => Box::new(SparseL1Estimator::new()),
-            (other, Some(_)) => {
-                panic!("windowed serving requires the in-band estimator, got {other}")
-            }
-        };
-        Self {
-            ingest: Mutex::new(Ingest {
-                backend,
-                cfg,
-                seq: 0,
-                generation: 0,
-                now: SimTime::ZERO,
+        // One range, starting at sender 0, owns every link.
+        Self::sharded(kind, cfg, ShardRanges::uniform(0, 1))
+    }
+
+    /// Builds a store with one shard writer per range, each around a
+    /// fresh backend of the given kind. `cfg` reads exactly as for
+    /// [`EstimateStore::new`]; `publish_every` counts the events of the
+    /// whole store.
+    ///
+    /// # Panics
+    ///
+    /// As [`EstimateStore::new`], and for [`EstimatorKind::SparseL1`] over
+    /// more than one range: sparse-L1 solves one problem over every
+    /// route, so per-shard solves are not the joint solve.
+    pub fn sharded(kind: EstimatorKind, cfg: ServeConfig, ranges: ShardRanges) -> Self {
+        assert!(
+            kind != EstimatorKind::SparseL1 || ranges.len() == 1,
+            "sparse-l1 solves over every route at once and cannot be sharded \
+             ({} ranges given)",
+            ranges.len()
+        );
+        let shards = (0..ranges.len())
+            .map(|_| Shard {
+                backend: backend(kind, cfg.window),
                 last_seen: BTreeMap::new(),
-                prev: BTreeMap::new(),
-                rank: BTreeSet::new(),
+            })
+            .collect();
+        Self {
+            cfg,
+            ranges,
+            writer: Mutex::new(Writer {
+                clock: Clock::default(),
+                shards,
             }),
             published: RwLock::new(Arc::new(StoreSnapshot::empty(&cfg))),
         }
     }
 
+    /// Number of shard writers.
+    pub fn shards(&self) -> usize {
+        self.ranges.len()
+    }
+
     /// Ingests one evidence event; returns its sequence number. Publishes
     /// a new generation every `publish_every` events.
     pub fn ingest(&self, ev: &Evidence) -> u64 {
-        let mut g = self.ingest.lock();
-        g.backend.observe(ev);
-        g.touch_links(ev);
-        g.seq += 1;
-        let at = ev.at();
-        if at > g.now {
-            g.now = at;
+        let mut guard = self.writer.lock();
+        let Writer { clock, shards } = &mut *guard;
+        let due = clock.advance(ev, self.cfg.publish_every);
+        self.route(ev, |i| shards[i].observe(ev));
+        if due {
+            self.cut_and_publish(clock, shards);
         }
-        if g.seq.is_multiple_of(g.cfg.publish_every) {
-            let snap = g.publish();
-            *self.published.write() = snap;
-        }
-        g.seq
+        clock.seq
     }
 
     /// Forces a publish covering everything ingested so far (end of
     /// stream, or a determinism checkpoint at an exact seq).
     pub fn publish_now(&self) -> Arc<StoreSnapshot> {
-        let mut g = self.ingest.lock();
-        let snap = g.publish();
-        *self.published.write() = Arc::clone(&snap);
-        snap
+        let mut guard = self.writer.lock();
+        let Writer { clock, shards } = &mut *guard;
+        self.cut_and_publish(clock, shards)
     }
 
-    /// Cuts the next generation at an externally supplied query time
-    /// (never earlier than the newest ingested evidence) without
-    /// publishing it. The sharded router cuts every shard this way, so
-    /// each ages TTLs and windows against the same global clock — which
-    /// keeps the merged cut, the only one it publishes, byte-identical to
-    /// a single store at the same evidence seq.
-    pub(crate) fn cut_at(&self, now: SimTime) -> Arc<StoreSnapshot> {
-        let mut g = self.ingest.lock();
-        if now > g.now {
-            g.now = now;
-        }
-        g.publish()
+    /// Ingests the whole stream with one ingest thread per shard. The
+    /// calling thread routes each event to its owning shards' channels
+    /// and publishes every `publish_every` events; a publish waits until
+    /// every shard has sent back its part (channels are FIFO, so each
+    /// shard has by then observed exactly its prefix of the stream).
+    /// Returns the final seq. Like inline ingest, it does not publish at
+    /// the end of the stream; [`EstimateStore::publish_now`] does.
+    pub fn ingest_threaded(&self, events: &[Evidence]) -> u64 {
+        let mut guard = self.writer.lock();
+        let Writer { clock, shards } = &mut *guard;
+        let ttl = self.cfg.ttl;
+        std::thread::scope(|scope| {
+            let mut event_txs = Vec::with_capacity(shards.len());
+            let mut cut_rxs = Vec::with_capacity(shards.len());
+            for shard in shards.iter_mut() {
+                let (tx, rx) = mpsc::channel::<ShardMsg<'_>>();
+                let (cut_tx, cut_rx) = mpsc::channel::<ShardCut>();
+                event_txs.push(tx);
+                cut_rxs.push(cut_rx);
+                scope.spawn(move || {
+                    while let Ok(msg) = rx.recv() {
+                        match msg {
+                            ShardMsg::Ev(ev) => shard.observe(ev),
+                            ShardMsg::Cut(q) => {
+                                if cut_tx.send(shard.cut(&q, ttl)).is_err() {
+                                    return;
+                                }
+                            }
+                        }
+                    }
+                });
+            }
+            for ev in events {
+                let due = clock.advance(ev, self.cfg.publish_every);
+                self.route(ev, |i| {
+                    event_txs[i]
+                        .send(ShardMsg::Ev(ev))
+                        .expect("shard ingest thread died");
+                });
+                if due {
+                    let q = self.query(clock.now);
+                    for tx in &event_txs {
+                        tx.send(ShardMsg::Cut(q)).expect("shard ingest thread died");
+                    }
+                    self.publish(
+                        clock,
+                        cut_rxs
+                            .iter()
+                            .map(|rx| rx.recv().expect("shard dropped its cut")),
+                    );
+                }
+            }
+            drop(event_txs);
+            clock.seq
+        })
     }
 
     /// The current published snapshot. Never blocks ingest beyond the
@@ -470,8 +524,113 @@ impl EstimateStore {
 
     /// Evidence events ingested so far.
     pub fn seq(&self) -> u64 {
-        self.ingest.lock().seq
+        self.writer.lock().clock.seq
     }
+
+    /// Calls `deliver` with each shard that must observe `ev`: the
+    /// sender's owner for hop evidence, every hop's owner (deduplicated)
+    /// for path outcomes.
+    fn route(&self, ev: &Evidence, mut deliver: impl FnMut(usize)) {
+        if self.ranges.len() == 1 {
+            deliver(0);
+            return;
+        }
+        match ev {
+            Evidence::Hop { sender, .. } => deliver(self.ranges.shard_of(*sender)),
+            Evidence::PathOutcome { origin, path, .. } => {
+                if path.is_empty() {
+                    deliver(self.ranges.shard_of(*origin));
+                    return;
+                }
+                let mut owners: Vec<usize> =
+                    path.iter().map(|&(a, _)| self.ranges.shard_of(a)).collect();
+                owners.sort_unstable();
+                owners.dedup();
+                for i in owners {
+                    deliver(i);
+                }
+            }
+        }
+    }
+
+    fn query(&self, now: SimTime) -> SnapshotQuery {
+        SnapshotQuery {
+            now,
+            r: self.cfg.r,
+            min_samples: self.cfg.min_samples,
+        }
+    }
+
+    /// Cuts every shard on the calling thread and publishes the result.
+    fn cut_and_publish(&self, clock: &mut Clock, shards: &[Shard]) -> Arc<StoreSnapshot> {
+        let q = self.query(clock.now);
+        self.publish(clock, shards.iter().map(|s| s.cut(&q, self.cfg.ttl)))
+    }
+
+    /// Builds the next generation from the shards' parts of the cut,
+    /// given in shard order, and publishes it. Ranges are contiguous in
+    /// the sender, the major key of a link, so concatenating the parts
+    /// gives the table in link order with no re-sort.
+    fn publish(
+        &self,
+        clock: &mut Clock,
+        mut parts: impl Iterator<Item = ShardCut>,
+    ) -> Arc<StoreSnapshot> {
+        let mut cut = parts.next().unwrap_or_default();
+        for part in parts {
+            cut.estimates.extend(part.estimates);
+            cut.last_seen.extend(part.last_seen);
+            cut.stale.extend(part.stale);
+        }
+        clock.generation += 1;
+        let top_k = top_k(&cut.estimates, self.cfg.top_k);
+        let snap = Arc::new(StoreSnapshot {
+            seq: clock.seq,
+            generation: clock.generation,
+            now: clock.now,
+            r: self.cfg.r,
+            min_samples: self.cfg.min_samples,
+            ttl: self.cfg.ttl,
+            estimates: cut.estimates,
+            last_seen: cut.last_seen,
+            stale: cut.stale,
+            top_k,
+        });
+        *self.published.write() = Arc::clone(&snap);
+        snap
+    }
+}
+
+/// A fresh backend of `kind`: the windowed in-band estimator when a
+/// window is set.
+fn backend(kind: EstimatorKind, window: Option<WindowConfig>) -> Box<dyn Estimator> {
+    match (kind, window) {
+        (EstimatorKind::InBand, Some(w)) => Box::new(WindowedNetworkEstimator::new(w)),
+        (EstimatorKind::InBand, None) => Box::new(NetworkEstimator::new()),
+        (EstimatorKind::Minc, None) => Box::new(MincEstimator::new()),
+        (EstimatorKind::SparseL1, None) => Box::new(SparseL1Estimator::new()),
+        (other, Some(_)) => {
+            panic!("windowed serving requires the in-band estimator, got {other}")
+        }
+    }
+}
+
+/// The `k` lossiest links, highest loss first, ties broken by the larger
+/// link: `(loss bits, link)` descending.
+fn top_k(estimates: &[(LinkKey, LossEstimate)], k: usize) -> Vec<(LinkKey, f64)> {
+    let mut ranked: Vec<(u64, LinkKey)> = estimates
+        .iter()
+        .map(|(link, e)| (e.loss.to_bits(), *link))
+        .collect();
+    if k < ranked.len() {
+        ranked.select_nth_unstable_by(k, |a, b| b.cmp(a));
+        ranked.truncate(k);
+    }
+    ranked.sort_unstable_by(|a, b| b.cmp(a));
+    ranked
+        .into_iter()
+        .map(|(bits, link)| (link, f64::from_bits(bits)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -488,17 +647,18 @@ mod tests {
         }
     }
 
+    fn cfg() -> ServeConfig {
+        ServeConfig {
+            publish_every: 64,
+            top_k: 3,
+            r: 7,
+            min_samples: 5,
+            ..ServeConfig::default()
+        }
+    }
+
     fn store() -> EstimateStore {
-        EstimateStore::new(
-            EstimatorKind::InBand,
-            ServeConfig {
-                publish_every: 64,
-                top_k: 3,
-                r: 7,
-                min_samples: 5,
-                ..ServeConfig::default()
-            },
-        )
+        EstimateStore::new(EstimatorKind::InBand, cfg())
     }
 
     /// Feeds three links with distinct loss rates and checks the queries.
@@ -532,22 +692,45 @@ mod tests {
         assert_eq!(partial.known_hops, 1);
     }
 
-    /// The maintained top-k must equal a from-scratch sort of the
-    /// published estimates, at every generation.
+    /// Every generation, at one shard and at two, must equal a reference
+    /// that bypasses the store's routing, cutting and ranking: the
+    /// estimates of one `NetworkEstimator` fed the same events and
+    /// snapshotted at the cut's `(now, r, min_samples)`, bit for bit,
+    /// and a top-k from a full sort of them.
     #[test]
-    fn incremental_top_k_matches_recompute() {
-        let s = store();
-        for i in 0..400u64 {
-            let link = 2 + (i % 7) as u32;
-            let attempts = 1 + ((i * 31 + link as u64) % 5) as u16;
-            s.ingest(&hop(link, 1, attempts, i * 500));
-            if i % 64 == 63 {
-                let snap = s.snapshot();
-                let mut expect: Vec<(LinkKey, f64)> =
-                    snap.estimates.iter().map(|&(k, e)| (k, e.loss)).collect();
-                expect.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(b.0.cmp(&a.0)));
-                expect.truncate(3);
-                assert_eq!(snap.top_k, expect, "generation {}", snap.generation);
+    fn every_cut_matches_a_reference_estimator() {
+        for s in [
+            store(),
+            EstimateStore::sharded(EstimatorKind::InBand, cfg(), ShardRanges::uniform(9, 2)),
+        ] {
+            let mut reference = NetworkEstimator::new();
+            for i in 0..400u64 {
+                let link = 2 + (i % 7) as u32;
+                let attempts = 1 + ((i * 31 + link as u64) % 5) as u16;
+                let ev = hop(link, 1, attempts, i * 500);
+                s.ingest(&ev);
+                Estimator::observe(&mut reference, &ev);
+                if i % 64 == 63 {
+                    let snap = s.snapshot();
+                    let want = reference.snapshot(&SnapshotQuery {
+                        now: snap.now,
+                        r: snap.r,
+                        min_samples: snap.min_samples,
+                    });
+                    assert!(!want.is_empty(), "reference saw no links");
+                    assert_eq!(
+                        serde_json::to_string(&snap.estimates).unwrap(),
+                        serde_json::to_string(&want).unwrap(),
+                        "{} shard(s), generation {}",
+                        s.shards(),
+                        snap.generation
+                    );
+                    let mut expect: Vec<(LinkKey, f64)> =
+                        want.iter().map(|&(k, e)| (k, e.loss)).collect();
+                    expect.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(b.0.cmp(&a.0)));
+                    expect.truncate(3);
+                    assert_eq!(snap.top_k, expect, "generation {}", snap.generation);
+                }
             }
         }
     }
@@ -582,6 +765,12 @@ mod tests {
             reader.join().unwrap();
         });
         assert_eq!(s.seq(), 3000);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot be sharded")]
+    fn sharded_sparse_l1_is_refused() {
+        EstimateStore::sharded(EstimatorKind::SparseL1, cfg(), ShardRanges::uniform(8, 2));
     }
 
     /// Snapshot JSON at the same seq is byte-identical live vs replayed.

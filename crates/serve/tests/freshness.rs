@@ -1,9 +1,9 @@
 //! Windowed/TTL freshness tests: aged-out links drop out of estimates
 //! and top-k but still answer a typed [`PerLinkAnswer::NotFresh`]; the
 //! windowed store matches the tracking crate's windowed estimator bit
-//! for bit; and TTL aging against the sharded router's global clock
-//! keeps the merged cut, and every answer read off it, byte-identical to
-//! a single store's.
+//! for bit; and TTL aging against the store's one clock keeps a sharded
+//! store's cut, and every answer read off it, byte-identical to a
+//! one-shard store's.
 
 use dophy::infer::{Estimator, EstimatorKind, Evidence, SnapshotQuery};
 use dophy::tracking::{WindowConfig, WindowedNetworkEstimator};
@@ -166,7 +166,7 @@ fn windowed_store_matches_tracking_backend_bit_for_bit() {
 }
 
 /// A windowed link with no in-range evidence drops out of the estimate
-/// table *and* the ranking (the rank-eviction path), answering `Unknown`
+/// table *and* the top-k, answering `Unknown`
 /// — windowing forgets, unlike TTL aging which remembers `NotFresh`.
 #[test]
 fn windowed_link_ages_out_of_estimates_and_top_k() {
@@ -193,10 +193,10 @@ fn windowed_link_ages_out_of_estimates_and_top_k() {
     assert!(matches!(aged.per_link((1, 2)), PerLinkAnswer::Fresh { .. }));
 }
 
-/// TTL aging runs against the router's global clock: a sharded store
-/// with a TTL publishes cuts byte-identical to a single store over a
-/// stream where links age out between barriers, and answers every query
-/// — a `NotFresh` link included — with the single store's bytes.
+/// TTL aging runs against the store's one clock: a sharded store with a
+/// TTL publishes cuts byte-identical to a one-shard store over a stream
+/// where links age out between publishes, and answers every query — a
+/// `NotFresh` link included — with the one-shard store's bytes.
 #[test]
 fn ttl_cuts_stay_byte_identical_across_shards() {
     let cfg = ServeConfig {
@@ -249,7 +249,7 @@ fn ttl_cuts_stay_byte_identical_across_shards() {
         assert_eq!(
             serde_json::to_string(&sharded.answer(req)).unwrap(),
             serde_json::to_string(&single.answer(req)).unwrap(),
-            "router answer diverged under a TTL on {req:?}"
+            "sharded answer diverged under a TTL on {req:?}"
         );
     }
 }

@@ -1,7 +1,7 @@
-//! Sharded-store tests: byte identity of the merged cut against a single
-//! store at every shard count and ingest mode, untorn cross-shard cuts
-//! under concurrent readers, and router answers equal to the single
-//! store's.
+//! Sharded-store tests: byte identity of the merged cut against a
+//! one-shard store at every shard count and ingest mode, untorn
+//! cross-shard cuts under concurrent readers, and sharded answers equal
+//! to the one-shard store's.
 
 use dophy::infer::EstimatorKind;
 use dophy::protocol::DophyConfig;
@@ -46,63 +46,66 @@ fn cut_json(store: &dyn ServeStore) -> String {
     serde_json::to_string(&store.publish_cut()).expect("serialize cut")
 }
 
-/// The tentpole identity: the merged cross-shard cut is byte-identical to
-/// a single store's snapshot at the same evidence seq — mid-stream and at
-/// the end — for 1, 2, and 4 block-aligned shards and for an odd uniform
-/// partition, all ingesting inline.
+/// The merged cross-shard cut is byte-identical to a one-shard store's
+/// snapshot at the same evidence seq — mid-stream and at the end — for 1
+/// and 2 block-aligned shards and for odd uniform partitions, all
+/// ingesting inline. MINC estimates a link from whole routes, so it
+/// takes block-aligned ranges only; the in-band backend ignores path
+/// outcomes, so uniform (block-splitting) ranges are also exact for it
+/// and exercise the higher shard counts.
 #[test]
 fn merged_cut_is_byte_identical_at_every_shard_count() {
     let hose = capture(&spec(21), 2, 2).expect("capture");
     let events = &hose.events;
     let half = events.len() / 2;
+    let block = hose.node_count as u32;
 
-    let single = EstimateStore::new(EstimatorKind::InBand, cfg());
-    for ev in &events[..half] {
-        ServeStore::ingest(&single, ev);
-    }
-    let single_half = cut_json(&single);
-    for ev in &events[half..] {
-        ServeStore::ingest(&single, ev);
-    }
-    let single_full = cut_json(&single);
-
-    // Two firehose blocks cap `by_blocks` at two shards; the in-band
-    // backend ignores path outcomes, so uniform (block-splitting) ranges
-    // are also exact and exercise the higher shard counts.
-    let node_span = hose.node_count as u32 * 2;
-    let ranges: Vec<(String, ShardRanges)> = vec![
-        (
-            "by_blocks x1".into(),
-            ShardRanges::by_blocks(hose.node_count as u32, 2, 1),
-        ),
-        (
-            "by_blocks x2".into(),
-            ShardRanges::by_blocks(hose.node_count as u32, 2, 2),
-        ),
-        ("uniform x3".into(), ShardRanges::uniform(node_span, 3)),
-        ("uniform x4".into(), ShardRanges::uniform(node_span, 4)),
-    ];
-
-    for (name, ranges) in ranges {
-        let sharded = ShardedStore::new(EstimatorKind::InBand, cfg(), ranges);
+    for kind in [EstimatorKind::InBand, EstimatorKind::Minc] {
+        let single = EstimateStore::new(kind, cfg());
         for ev in &events[..half] {
-            sharded.ingest(ev);
+            ServeStore::ingest(&single, ev);
         }
-        assert_eq!(cut_json(&sharded), single_half, "{name}: cut at seq {half}");
+        let single_half = cut_json(&single);
         for ev in &events[half..] {
-            sharded.ingest(ev);
+            ServeStore::ingest(&single, ev);
         }
-        assert_eq!(cut_json(&sharded), single_full, "{name}: final cut");
-    }
+        let single_full = cut_json(&single);
 
-    // Substantive, not vacuous.
-    let snap = single.snapshot();
-    assert!(snap.estimates.len() >= 10);
-    assert!(!snap.top_k.is_empty());
+        // Two firehose blocks cap `by_blocks` at two shards.
+        let mut ranges: Vec<(&str, ShardRanges)> = vec![
+            ("by_blocks x1", ShardRanges::by_blocks(block, 2, 1)),
+            ("by_blocks x2", ShardRanges::by_blocks(block, 2, 2)),
+        ];
+        if kind == EstimatorKind::InBand {
+            ranges.push(("uniform x3", ShardRanges::uniform(block * 2, 3)));
+            ranges.push(("uniform x4", ShardRanges::uniform(block * 2, 4)));
+        }
+
+        for (name, ranges) in ranges {
+            let sharded = ShardedStore::new(kind, cfg(), ranges);
+            for ev in &events[..half] {
+                sharded.ingest(ev);
+            }
+            assert_eq!(
+                cut_json(&sharded),
+                single_half,
+                "{kind} {name}: cut at seq {half}"
+            );
+            for ev in &events[half..] {
+                sharded.ingest(ev);
+            }
+            assert_eq!(cut_json(&sharded), single_full, "{kind} {name}: final cut");
+        }
+
+        // Substantive, not vacuous.
+        let snap = single.snapshot();
+        assert!(snap.estimates.len() >= 10, "{kind}");
+        assert!(!snap.top_k.is_empty(), "{kind}");
+    }
 }
 
-/// Threaded ingest (one writer thread per shard, barriers over channels)
-/// publishes the same bytes as inline ingest — and as a single store.
+/// Threaded ingest (one writer thread per shard, cuts over channels)
+/// publishes the same bytes as inline ingest — and as a one-shard store.
 #[test]
 fn threaded_ingest_matches_inline_and_single() {
     let hose = capture(&spec(23), 2, 2).expect("capture");
@@ -131,14 +134,13 @@ fn threaded_ingest_matches_inline_and_single() {
 
 /// Concurrent readers never observe a torn cross-shard cut: seq is
 /// monotone and every merged top-k entry is backed by an estimate with
-/// the identical loss — while per-shard ingest threads and barriers run
-/// flat out. In debug builds the router also asserts at every barrier
-/// that all shards cut at the same generation.
+/// the identical loss — while per-shard ingest threads and publishes run
+/// flat out.
 #[test]
 fn cross_shard_cuts_are_never_torn() {
     let hose = capture(&spec(25), 2, 2).expect("capture");
     let cfg = ServeConfig {
-        publish_every: 32, // frequent barriers to maximise tearing windows
+        publish_every: 32, // frequent publishes to maximise tearing windows
         ..cfg()
     };
     let sharded = ShardedStore::new(
@@ -153,7 +155,7 @@ fn cross_shard_cuts_are_never_torn() {
                 let mut last_seq = 0u64;
                 let mut generations_seen = 0u64;
                 while !done.load(Ordering::Relaxed) {
-                    let cut = sharded.cut();
+                    let cut = sharded.snapshot();
                     assert!(cut.seq >= last_seq, "cut seq went backwards");
                     last_seq = cut.seq;
                     for &(link, loss) in &cut.top_k {
@@ -173,11 +175,11 @@ fn cross_shard_cuts_are_never_torn() {
     });
 }
 
-/// The router answers byte-identically to [`answer_from_snapshot`] over
-/// the single store's snapshot at the same seq — for every estimated
-/// link, a stale probe, an unknown link, and multi-hop paths, with the
-/// links spread over four shards. `Stats` differs only in the advertised
-/// shard count.
+/// A sharded store answers byte-identically to [`answer_from_snapshot`]
+/// over a one-shard store's snapshot at the same seq — for every
+/// estimated link, an unknown link, and multi-hop paths, with the links
+/// spread over four shards. `Stats` differs only in the advertised shard
+/// count.
 #[test]
 fn fan_out_answers_match_reference_snapshot() {
     let hose = capture(&spec(27), 2, 2).expect("capture");
@@ -224,7 +226,7 @@ fn fan_out_answers_match_reference_snapshot() {
     for req in &requests {
         let want = serde_json::to_string(&answer_from_snapshot(&reference, req)).unwrap();
         let got = serde_json::to_string(&sharded.answer(req)).unwrap();
-        assert_eq!(got, want, "router answer diverged on {req:?}");
+        assert_eq!(got, want, "sharded answer diverged on {req:?}");
         probed += 1;
     }
     assert!(probed > 20, "only {probed} probes — stream too thin");
