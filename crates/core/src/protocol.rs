@@ -30,8 +30,8 @@ use crate::symbols::SymbolSpaces;
 use dophy_coding::aggregate::AggregationPolicy;
 use dophy_routing::{Router, RouterConfig};
 use dophy_sim::obs::{
-    data_trace_id, model_trace_id, DecodeEvent, DecodeOutcome, DropEvent, DropReason,
-    EpochSwitchEvent, Event, SpanPhase,
+    data_trace_id, DecodeEvent, DecodeOutcome, DropEvent, DropReason, EpochSwitchEvent, Event,
+    SpanPhase,
 };
 use dophy_sim::profile::{self, Subsystem};
 use dophy_sim::stats::{CountHistogram, Streaming};
@@ -435,6 +435,7 @@ impl DophyNode {
                 node: me.0,
                 dst: None,
                 reason: DropReason::NoRoute,
+                trace: None,
             }));
             return;
         };
@@ -475,13 +476,8 @@ impl DophyNode {
                 node: me.0,
                 dst: None,
                 reason: DropReason::TtlExpired,
+                trace: Some(trace),
             }));
-            ctx.span(
-                trace,
-                SpanPhase::Drop {
-                    reason: DropReason::TtlExpired,
-                },
-            );
             return;
         }
         // Ground-truth hop log (harness channel).
@@ -536,13 +532,8 @@ impl DophyNode {
                 node: me.0,
                 dst: None,
                 reason: DropReason::NoRoute,
+                trace: Some(trace),
             }));
-            ctx.span(
-                trace,
-                SpanPhase::Drop {
-                    reason: DropReason::NoRoute,
-                },
-            );
             return;
         };
         drop(shared);
@@ -585,7 +576,6 @@ impl DophyNode {
         let header = &msg.header;
         let n = self.topo.node_count();
         let prof = ctx.profiler();
-        let trace = data_trace_id(header.origin.0, header.seq);
         let mut shared = self.shared.lock();
         // Structural pre-checks run before the header is trusted for
         // anything — a corrupted origin would index out of bounds right
@@ -607,7 +597,6 @@ impl DophyNode {
                 hops: u16::from(header.hops),
                 outcome,
             }));
-            ctx.span(trace, SpanPhase::Decode { outcome });
             return;
         }
         shared.delivered_per_origin[header.origin.index()] += 1;
@@ -722,13 +711,8 @@ impl DophyNode {
             hops: u16::from(header.hops),
             outcome: decode_outcome,
         }));
-        ctx.span(
-            trace,
-            SpanPhase::Decode {
-                outcome: decode_outcome,
-            },
-        );
         if let Some(observations) = ingested {
+            let trace = data_trace_id(header.origin.0, header.seq);
             ctx.span(trace, SpanPhase::Ingest { observations });
         }
     }
@@ -818,12 +802,11 @@ impl Protocol for DophyNode {
                     shared.manager.refresh(now, &hub)
                 };
                 if let Some(epoch) = switched {
+                    // A model refresh originates a dissemination
+                    // lifecycle of its own (see `Event::trace_id`).
                     ctx.emit(Event::EpochSwitch(EpochSwitchEvent {
                         epoch: epoch as u64,
                     }));
-                    // A model refresh originates a dissemination
-                    // lifecycle of its own.
-                    ctx.span(model_trace_id(epoch as u64), SpanPhase::Origin);
                 }
                 ctx.set_timer(self.cfg.model_update.update_period, TIMER_MODEL_UPDATE);
             }
@@ -869,13 +852,8 @@ impl Protocol for DophyNode {
                                 node: ctx.node_id().0,
                                 dst: None,
                                 reason: DropReason::Corrupt,
+                                trace: Some(trace),
                             }));
-                            ctx.span(
-                                trace,
-                                SpanPhase::Drop {
-                                    reason: DropReason::Corrupt,
-                                },
-                            );
                             return;
                         }
                     }

@@ -1,17 +1,20 @@
-//! Chrome-trace / Perfetto exporter for causal lifecycle spans.
+//! Chrome-trace / Perfetto exporter for traced lifecycles.
 //!
-//! [`ChromeTracer`] is an [`Observer`] that renders [`Event::Span`]s into
-//! the Chrome trace-event JSON array format, so a simulation run can be
-//! scrubbed visually in `chrome://tracing` or [Perfetto]. Each span
-//! becomes a complete (`"ph":"X"`) event on the track of the node it
-//! happened at (`tid` = node id), and consecutive spans of the same
-//! trace id are stitched together with flow events (`"ph":"s"`/`"t"`) so
-//! the UI draws arrows along a packet's path through the network.
+//! [`ChromeTracer`] is an [`Observer`] that renders every event with a
+//! trace id (see [`Event::trace_id`]) into the Chrome trace-event JSON
+//! array format, so a simulation run can be scrubbed visually in
+//! `chrome://tracing` or [Perfetto]. Each such event becomes a complete
+//! (`"ph":"X"`) event named for its lifecycle step (`origin`, `tx`,
+//! `deliver`, `forward`, `corrupt`, `drop`, `decode`, `ingest`) on the
+//! track of the node it happened at (`tid` = [`Event::node`]), and
+//! consecutive steps of the same trace id are stitched together with flow
+//! events (`"ph":"s"`/`"t"`) so the UI draws arrows along a packet's path
+//! through the network.
 //!
 //! Timestamps are **simulated** microseconds — the exporter visualises
 //! causality in sim time, not wall time.
 //!
-//! Large runs emit millions of spans; [`ChromeTracer::with_sampling`]
+//! Large runs trace millions of steps; [`ChromeTracer::with_sampling`]
 //! keeps 1-in-N *trace ids* (whole lifecycles, never partial ones) by
 //! hashing the id, so sampled traces stay causally complete.
 //!
@@ -24,7 +27,6 @@ use crate::obs::{Event, Observer, SpanPhase, TraceKind};
 use crate::rng::splitmix64;
 use crate::time::SimTime;
 use parking_lot::Mutex;
-use serde::Serialize;
 use std::collections::HashSet;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -37,8 +39,8 @@ struct State<W: Write + Send> {
     seen: HashSet<u64>,
 }
 
-/// Observer exporting lifecycle spans as Chrome-trace JSON; it ignores
-/// every other event kind.
+/// Observer exporting traced lifecycle steps as Chrome-trace JSON; it
+/// ignores every event without a trace id.
 ///
 /// The output is a single JSON array, written incrementally; call
 /// [`ChromeTracer::finish`] after the run to close the array (dropping
@@ -53,7 +55,7 @@ pub struct ChromeTracer<W: Write + Send> {
 }
 
 impl<W: Write + Send> ChromeTracer<W> {
-    /// Tracer exporting every span to `out`.
+    /// Tracer exporting every traced event to `out`.
     pub fn new(out: W) -> Self {
         Self::with_sampling(out, 1)
     }
@@ -84,7 +86,7 @@ impl<W: Write + Send> ChromeTracer<W> {
         self.io_errors.load(Ordering::Relaxed)
     }
 
-    /// Whether a span with this trace id would be exported.
+    /// Whether an event with this trace id would be exported.
     #[must_use]
     pub fn keeps(&self, trace_id: u64) -> bool {
         self.sample <= 1 || splitmix64(trace_id).is_multiple_of(self.sample)
@@ -116,16 +118,24 @@ impl<W: Write + Send> ChromeTracer<W> {
         self.state.into_inner().out
     }
 
-    fn phase_name(phase: &SpanPhase) -> &'static str {
-        match phase {
-            SpanPhase::Origin => "origin",
-            SpanPhase::Tx { .. } => "tx",
-            SpanPhase::Deliver { .. } => "deliver",
-            SpanPhase::Forward { .. } => "forward",
-            SpanPhase::Corrupt => "corrupt",
-            SpanPhase::Drop { .. } => "drop",
-            SpanPhase::Decode { .. } => "decode",
-            SpanPhase::Ingest { .. } => "ingest",
+    /// The lifecycle step `ev` records (an epoch switch originates a
+    /// model's lifecycle).
+    fn step_name(ev: &Event) -> &'static str {
+        match ev {
+            Event::Tx(_) => "tx",
+            Event::Rx(_) => "deliver",
+            Event::Ack(_) => "ack",
+            Event::Drop(_) => "drop",
+            Event::Timer(_) => "timer",
+            Event::ParentChange(_) => "parent_change",
+            Event::EpochSwitch(_) => "origin",
+            Event::Decode(_) => "decode",
+            Event::Span(s) => match s.phase {
+                SpanPhase::Origin => "origin",
+                SpanPhase::Forward { .. } => "forward",
+                SpanPhase::Corrupt => "corrupt",
+                SpanPhase::Ingest { .. } => "ingest",
+            },
         }
     }
 
@@ -146,26 +156,24 @@ impl<W: Write + Send> ChromeTracer<W> {
 
 impl<W: Write + Send> Observer for ChromeTracer<W> {
     fn on_event(&self, now: SimTime, ev: &Event) {
-        let Event::Span(ev) = ev else {
+        let Some(trace_id) = ev.trace_id() else {
             return;
         };
-        if !self.keeps(ev.trace_id) {
+        if !self.keeps(trace_id) {
             return;
         }
-        let kind = TraceKind::of(ev.trace_id).map_or("unknown", TraceKind::name);
+        let kind = TraceKind::of(trace_id).map_or("unknown", TraceKind::name);
         let ts = now.as_micros();
-        // Full phase detail rides in args; serialization of the plain-data
+        let tid = ev.node().0;
+        // The full event rides in args; serialization of the plain-data
         // enum cannot fail, but degrade to "null" rather than panic in an
         // observer if it ever does.
-        let phase_json =
-            serde_json::to_string(&ev.phase.to_value()).unwrap_or_else(|_| "null".to_string());
+        let event_json = serde_json::to_string(ev).unwrap_or_else(|_| "null".to_string());
         let complete = format!(
             "{{\"name\":\"{name}\",\"cat\":\"{kind}\",\"ph\":\"X\",\"ts\":{ts},\
-             \"dur\":1,\"pid\":1,\"tid\":{tid},\"args\":{{\"trace\":\"{id:#018x}\",\
-             \"phase\":{phase_json}}}}}",
-            name = Self::phase_name(&ev.phase),
-            tid = ev.node,
-            id = ev.trace_id,
+             \"dur\":1,\"pid\":1,\"tid\":{tid},\"args\":{{\"trace\":\"{trace_id:#018x}\",\
+             \"event\":{event_json}}}}}",
+            name = Self::step_name(ev),
         );
 
         let mut st = self.state.lock();
@@ -173,14 +181,12 @@ impl<W: Write + Send> Observer for ChromeTracer<W> {
             return;
         }
         self.write_event(&mut st, &complete);
-        // Stitch this span to the previous one of the same lifecycle.
-        let first_sighting = st.seen.insert(ev.trace_id);
+        // Stitch this step to the previous one of the same lifecycle.
+        let first_sighting = st.seen.insert(trace_id);
         let flow = format!(
             "{{\"name\":\"lifecycle\",\"cat\":\"{kind}\",\"ph\":\"{ph}\",\"ts\":{ts},\
-             \"pid\":1,\"tid\":{tid},\"id\":\"{id:#x}\",\"bp\":\"e\"}}",
+             \"pid\":1,\"tid\":{tid},\"id\":\"{trace_id:#x}\",\"bp\":\"e\"}}",
             ph = if first_sighting { "s" } else { "t" },
-            tid = ev.node,
-            id = ev.trace_id,
         );
         self.write_event(&mut st, &flow);
     }
@@ -189,7 +195,10 @@ impl<W: Write + Send> Observer for ChromeTracer<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::{data_trace_id, DropReason, SpanEvent};
+    use crate::obs::{
+        data_trace_id, model_trace_id, DecodeEvent, DecodeOutcome, DropEvent, DropReason,
+        EpochSwitchEvent, RxEvent, SpanEvent, TxEvent,
+    };
     use crate::time::SimDuration;
     use serde::{find_field, Value};
 
@@ -210,6 +219,12 @@ mod tests {
             .unwrap_or_else(|| panic!("missing {key}: {ev:?}"))
     }
 
+    fn parse(tracer: ChromeTracer<Vec<u8>>) -> Vec<Value> {
+        let text = String::from_utf8(tracer.into_inner()).unwrap();
+        let parsed: Value = serde_json::from_str(&text).unwrap();
+        parsed.as_array().unwrap().to_vec()
+    }
+
     #[test]
     fn emits_well_formed_chrome_json() {
         let tracer = ChromeTracer::new(Vec::new());
@@ -217,35 +232,42 @@ mod tests {
         tracer.on_event(t(10), &span(id, 5, SpanPhase::Origin));
         tracer.on_event(
             t(20),
-            &span(
-                id,
-                5,
-                SpanPhase::Tx {
-                    dst: Some(2),
-                    attempt: 1,
-                    ok: true,
-                },
-            ),
+            &Event::Tx(TxEvent {
+                src: 5,
+                dst: Some(2),
+                attempt: 1,
+                bytes: 40,
+                ok: true,
+                trace: Some(id),
+            }),
+        );
+        // Untraced events are not lifecycle steps.
+        tracer.on_event(
+            t(25),
+            &Event::Tx(TxEvent {
+                src: 5,
+                dst: None,
+                attempt: 1,
+                bytes: 20,
+                ok: true,
+                trace: None,
+            }),
         );
         tracer.on_event(
             t(30),
-            &span(
-                id,
-                2,
-                SpanPhase::Drop {
-                    reason: DropReason::TtlExpired,
-                },
-            ),
+            &Event::Drop(DropEvent {
+                node: 2,
+                dst: None,
+                reason: DropReason::TtlExpired,
+                trace: Some(id),
+            }),
         );
         assert!(tracer.finish());
         assert_eq!(tracer.io_errors(), 0);
-        let buf = tracer.into_inner();
-        let text = String::from_utf8(buf).unwrap();
-        let parsed: Value = serde_json::from_str(&text).unwrap();
-        let events = parsed.as_array().unwrap();
-        // 3 spans × (complete event + flow event).
+        let events = parse(tracer);
+        // 3 traced events × (complete event + flow event).
         assert_eq!(events.len(), 6);
-        for ev in events {
+        for ev in &events {
             for key in ["name", "cat", "ph", "ts", "pid", "tid"] {
                 field(ev, key);
             }
@@ -254,12 +276,42 @@ mod tests {
         assert_eq!(field(&events[0], "name").as_str(), Some("origin"));
         assert_eq!(field(&events[0], "cat").as_str(), Some("data"));
         assert_eq!(field(&events[0], "tid"), &Value::UInt(5));
+        assert_eq!(field(&events[2], "name").as_str(), Some("tx"));
         // First flow event starts the arrow chain; later ones continue it.
         assert_eq!(field(&events[1], "ph").as_str(), Some("s"));
         assert_eq!(field(&events[3], "ph").as_str(), Some("t"));
         assert_eq!(field(&events[1], "id"), field(&events[3], "id"));
-        // The drop span lands on the receiving node's track.
+        // The drop lands on the track of the node it happened at.
+        assert_eq!(field(&events[4], "name").as_str(), Some("drop"));
         assert_eq!(field(&events[4], "tid"), &Value::UInt(2));
+    }
+
+    #[test]
+    fn decode_and_epoch_switch_render_on_the_sink_track() {
+        let tracer = ChromeTracer::new(Vec::new());
+        tracer.on_event(t(10), &Event::EpochSwitch(EpochSwitchEvent { epoch: 4 }));
+        tracer.on_event(
+            t(20),
+            &Event::Decode(DecodeEvent {
+                origin: 7,
+                seq: 3,
+                hops: 2,
+                outcome: DecodeOutcome::Ok,
+            }),
+        );
+        let events = parse(tracer);
+        assert_eq!(events.len(), 4);
+        let steps = [
+            (&events[0], "origin", "model", model_trace_id(4)),
+            (&events[2], "decode", "data", data_trace_id(7, 3)),
+        ];
+        for (ev, name, cat, id) in steps {
+            assert_eq!(field(ev, "name").as_str(), Some(name));
+            assert_eq!(field(ev, "cat").as_str(), Some(cat));
+            assert_eq!(field(ev, "tid"), &Value::UInt(0));
+            let trace = field(field(ev, "args"), "trace").as_str().unwrap();
+            assert_eq!(trace, format!("{id:#018x}"));
+        }
     }
 
     #[test]
@@ -272,28 +324,31 @@ mod tests {
             tracer.on_event(t(u64::from(seq)), &span(id, 1, SpanPhase::Origin));
             tracer.on_event(
                 t(u64::from(seq) + 1),
-                &span(id, 0, SpanPhase::Deliver { src: 1, attempt: 1 }),
+                &Event::Rx(RxEvent {
+                    src: 1,
+                    dst: 0,
+                    attempt: 1,
+                    bytes: 40,
+                    broadcast: false,
+                    trace: Some(id),
+                }),
             );
             if keep {
                 kept += 1;
             }
         }
         tracer.finish();
-        // A kept id contributes both spans × 2 events each; dropped ids none.
+        // A kept id contributes both steps × 2 events each; dropped ids none.
         assert_eq!(tracer.events_written(), u64::from(kept) * 4);
         assert!(kept > 0, "sampler kept nothing out of 200 lifecycles");
         assert!(kept < 200, "sampler kept everything despite 1-in-7");
-        let text = String::from_utf8(tracer.into_inner()).unwrap();
-        let parsed: Value = serde_json::from_str(&text).unwrap();
-        assert_eq!(parsed.as_array().unwrap().len(), kept as usize * 4);
+        assert_eq!(parse(tracer).len(), kept as usize * 4);
     }
 
     #[test]
     fn empty_trace_is_valid_json() {
         let tracer = ChromeTracer::new(Vec::new());
         tracer.finish();
-        let text = String::from_utf8(tracer.into_inner()).unwrap();
-        let parsed: Value = serde_json::from_str(&text).unwrap();
-        assert_eq!(parsed, Value::Array(Vec::new()));
+        assert!(parse(tracer).is_empty());
     }
 }

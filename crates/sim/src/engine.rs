@@ -154,10 +154,10 @@ impl Ctx<'_> {
     }
 
     /// Like [`Ctx::send_unicast`], but tags the frame with a causal
-    /// lifecycle trace id: the engine emits [`SpanPhase::Tx`]/
-    /// [`SpanPhase::Deliver`]/[`SpanPhase::Drop`] spans for it when an
-    /// observer is installed. Trace ids must be deterministic (derived
-    /// from protocol state, never RNG) so tracing cannot perturb a run.
+    /// lifecycle trace id: the engine's tx, rx and drop events for the
+    /// frame carry it when an observer is installed. Trace ids must be
+    /// deterministic (derived from protocol state, never RNG) so tracing
+    /// cannot perturb a run.
     pub fn send_unicast_traced(
         &mut self,
         dst: NodeId,

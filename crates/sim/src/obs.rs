@@ -7,12 +7,17 @@
 //! - **Event tracing.** [`Event`] names every observable event: those of
 //!   the engine hot path (tx/rx/ack/drop/timer), those protocol layers
 //!   report through [`crate::Ctx::emit`] (parent changes, model-epoch
-//!   switches, decode outcomes), and causal lifecycle spans. The
-//!   [`Observer`] trait receives each one, sim-time-stamped, through its
-//!   one method. The engine holds an `Option<Arc<dyn Observer>>`, so an
-//!   unobserved run pays only an untaken branch per event.
-//!   [`JsonlTracer`] is the standard observer: it streams one JSON object
-//!   per event to any writer, with a severity filter.
+//!   switches, decode outcomes), and the lifecycle spans that state what
+//!   no other event does (origin, forward, corruption, ingest). Each fact
+//!   is reported once: a traced frame's tx, rx and drop events carry its
+//!   trace id, and a decode or an epoch switch derives its id from its
+//!   own fields, so [`Event::trace_id`] and [`Event::node`] place any
+//!   event on its object's lifecycle. The [`Observer`] trait receives
+//!   each one, sim-time-stamped, through its one method. The engine holds
+//!   an `Option<Arc<dyn Observer>>`, so an unobserved run pays only an
+//!   untaken branch per event. [`JsonlTracer`] is the standard observer:
+//!   it streams one JSON object per event to any writer, with a severity
+//!   filter.
 //!
 //! - **Metrics.** [`MetricsRegistry`] holds named counters, gauges, and
 //!   histograms with static label sets, and snapshots them into a
@@ -24,6 +29,7 @@
 //! integration tests enforce this zero-perturbation guarantee.
 
 use crate::time::SimTime;
+use crate::topology::NodeId;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, VecDeque};
@@ -49,6 +55,8 @@ pub struct TxEvent {
     /// Whether the channel delivered this copy (broadcasts report `true`;
     /// per-neighbor outcomes arrive as [`RxEvent`]s).
     pub ok: bool,
+    /// Lifecycle trace id of the frame, when its sender traced it.
+    pub trace: Option<u64>,
 }
 
 /// A frame copy delivered to a node's protocol.
@@ -64,6 +72,8 @@ pub struct RxEvent {
     pub bytes: u32,
     /// Whether the frame was a broadcast.
     pub broadcast: bool,
+    /// Lifecycle trace id of the frame, when its sender traced it.
+    pub trace: Option<u64>,
 }
 
 /// One link-layer ACK attempt back to the data sender.
@@ -110,6 +120,8 @@ pub struct DropEvent {
     pub dst: Option<u32>,
     /// Why the frame died.
     pub reason: DropReason,
+    /// Lifecycle trace id of the frame or packet, when it was traced.
+    pub trace: Option<u64>,
 }
 
 /// A protocol timer fired.
@@ -246,45 +258,22 @@ pub const fn model_trace_id(epoch: u64) -> u64 {
     (3u64 << 62) | (epoch & 0x3FFF_FFFF_FFFF_FFFF)
 }
 
-/// One step in a traced object's lifecycle.
+/// A lifecycle step that no other event states. Transmissions,
+/// deliveries and drops of a traced frame are [`Event::Tx`],
+/// [`Event::Rx`] and [`Event::Drop`] carrying its trace id, and a decode
+/// or an epoch switch derives its id (see [`Event::trace_id`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SpanPhase {
     /// The object was created and handed to the MAC (packet generated,
-    /// beacon emitted, model epoch published).
+    /// beacon emitted).
     Origin,
-    /// A physical transmission attempt of the traced frame.
-    Tx {
-        /// Destination; `None` for broadcast.
-        dst: Option<u32>,
-        /// 1-based ARQ attempt (1 for broadcast).
-        attempt: u16,
-        /// Whether the channel delivered this copy.
-        ok: bool,
-    },
-    /// A copy of the traced frame reached a node's protocol.
-    Deliver {
-        /// Sending node of the delivered copy.
-        src: u32,
-        /// Attempt number the copy was sent on.
-        attempt: u16,
-    },
     /// An intermediate node re-enqueued the packet towards its parent.
     Forward {
         /// Next-hop destination.
         to: u32,
     },
-    /// The fault layer destroyed the frame (structural corruption).
+    /// The fault layer damaged the frame on receipt.
     Corrupt,
-    /// The traced object died at this node.
-    Drop {
-        /// Why it died.
-        reason: DropReason,
-    },
-    /// The sink finished decoding the traced packet.
-    Decode {
-        /// Decoder verdict (quarantine cause when not `Ok`).
-        outcome: DecodeOutcome,
-    },
     /// The estimator ingested the decoded per-hop observations.
     Ingest {
         /// Number of per-link observations extracted.
@@ -369,11 +358,13 @@ impl Event {
                     Severity::Warn
                 }
             }
-            Event::Span(e) => match e.phase {
-                SpanPhase::Drop { .. } | SpanPhase::Corrupt => Severity::Warn,
-                SpanPhase::Decode { outcome } if outcome != DecodeOutcome::Ok => Severity::Warn,
-                _ => Severity::Debug,
-            },
+            Event::Span(e) => {
+                if e.phase == SpanPhase::Corrupt {
+                    Severity::Warn
+                } else {
+                    Severity::Debug
+                }
+            }
         }
     }
 
@@ -391,6 +382,40 @@ impl Event {
             Event::EpochSwitch(_) => Category::Model,
             Event::Decode(_) => Category::Decode,
             Event::Span(_) => Category::Lifecycle,
+        }
+    }
+
+    /// The lifecycle this event belongs to: a traced frame's tx, rx or
+    /// drop carries its id, a decode derives its packet's
+    /// [`data_trace_id`], an epoch switch its [`model_trace_id`], and a
+    /// span has its own. Acks, timers and parent changes have none.
+    #[must_use]
+    pub fn trace_id(&self) -> Option<u64> {
+        match self {
+            Event::Tx(e) => e.trace,
+            Event::Rx(e) => e.trace,
+            Event::Drop(e) => e.trace,
+            Event::Decode(e) => Some(data_trace_id(e.origin, e.seq)),
+            Event::EpochSwitch(e) => Some(model_trace_id(e.epoch)),
+            Event::Span(e) => Some(e.trace_id),
+            Event::Ack(_) | Event::Timer(_) | Event::ParentChange(_) => None,
+        }
+    }
+
+    /// The node the event happened at: the sender of a tx, the receiver
+    /// of an rx, the data receiver (the ACK's sender) of an ack, and the
+    /// sink for a decode or an epoch switch.
+    #[must_use]
+    pub fn node(&self) -> NodeId {
+        match self {
+            Event::Tx(e) => NodeId(e.src),
+            Event::Rx(e) => NodeId(e.dst),
+            Event::Ack(e) => NodeId(e.dst),
+            Event::Drop(e) => NodeId(e.node),
+            Event::Timer(e) => NodeId(e.node),
+            Event::ParentChange(e) => NodeId(e.node),
+            Event::Span(e) => NodeId(e.node),
+            Event::Decode(_) | Event::EpochSwitch(_) => NodeId::SINK,
         }
     }
 }
@@ -641,8 +666,8 @@ impl Observer for MultiObserver {
 
 /// Fixed-size ring of the most recent observer events, for postmortems.
 ///
-/// The recorder keeps the last `capacity` events (every kind, including
-/// lifecycle spans with their trace ids) as [`TraceRecord`]s. When a run
+/// The recorder keeps the last `capacity` events (every kind, trace ids
+/// included) as [`TraceRecord`]s. When a run
 /// dies inside the executor's `catch_unwind` cell isolation, the harness
 /// calls [`FlightRecorder::dump_postmortem`] to write the tail as JSONL —
 /// a header line describing the failure, then one record per line, oldest
@@ -1077,6 +1102,7 @@ mod tests {
                 attempt: 1,
                 bytes: 40,
                 ok: true,
+                trace: None,
             }),
         );
         tracer.on_event(
@@ -1124,21 +1150,131 @@ mod tests {
             node: 3,
             phase: SpanPhase::Origin,
         };
-        let drop_span = SpanEvent {
+        let corrupt_span = SpanEvent {
             trace_id: data_trace_id(3, 1),
             node: 2,
-            phase: SpanPhase::Drop {
-                reason: DropReason::LinkExhausted,
-            },
+            phase: SpanPhase::Corrupt,
         };
         tracer.on_event(now, &Event::Span(ok_span));
-        tracer.on_event(now, &Event::Span(drop_span));
+        tracer.on_event(now, &Event::Span(corrupt_span));
         assert_eq!(tracer.lines_written(), 1, "debug span must be filtered");
         let text = String::from_utf8(tracer.into_inner()).unwrap();
         let rec: TraceRecord = serde_json::from_str(text.trim()).unwrap();
         assert_eq!(rec.category, Category::Lifecycle);
         assert_eq!(rec.severity, Severity::Warn);
-        assert_eq!(rec.event, Event::Span(drop_span));
+        assert_eq!(rec.event, Event::Span(corrupt_span));
+    }
+
+    #[test]
+    fn trace_id_and_node_of_every_kind() {
+        let id = data_trace_id(4, 9);
+        let cases = [
+            (
+                Event::Tx(TxEvent {
+                    src: 4,
+                    dst: Some(2),
+                    attempt: 1,
+                    bytes: 40,
+                    ok: true,
+                    trace: Some(id),
+                }),
+                Some(id),
+                4,
+            ),
+            (
+                Event::Tx(TxEvent {
+                    src: 5,
+                    dst: None,
+                    attempt: 1,
+                    bytes: 20,
+                    ok: true,
+                    trace: None,
+                }),
+                None,
+                5,
+            ),
+            (
+                Event::Rx(RxEvent {
+                    src: 4,
+                    dst: 2,
+                    attempt: 2,
+                    bytes: 40,
+                    broadcast: false,
+                    trace: Some(id),
+                }),
+                Some(id),
+                2,
+            ),
+            (
+                Event::Ack(AckEvent {
+                    src: 4,
+                    dst: 2,
+                    attempt: 2,
+                    ok: true,
+                }),
+                None,
+                2,
+            ),
+            (
+                Event::Drop(DropEvent {
+                    node: 2,
+                    dst: Some(1),
+                    reason: DropReason::LinkExhausted,
+                    trace: Some(id),
+                }),
+                Some(id),
+                2,
+            ),
+            (
+                Event::Drop(DropEvent {
+                    node: 3,
+                    dst: None,
+                    reason: DropReason::NoRoute,
+                    trace: None,
+                }),
+                None,
+                3,
+            ),
+            (Event::Timer(TimerEvent { node: 6, timer: 1 }), None, 6),
+            (
+                Event::ParentChange(ParentChangeEvent {
+                    node: 7,
+                    old_parent: None,
+                    new_parent: 0,
+                    etx: 1.0,
+                }),
+                None,
+                7,
+            ),
+            (
+                Event::EpochSwitch(EpochSwitchEvent { epoch: 3 }),
+                Some(model_trace_id(3)),
+                0,
+            ),
+            (
+                Event::Decode(DecodeEvent {
+                    origin: 4,
+                    seq: 9,
+                    hops: 2,
+                    outcome: DecodeOutcome::Ok,
+                }),
+                Some(id),
+                0,
+            ),
+            (
+                Event::Span(SpanEvent {
+                    trace_id: id,
+                    node: 1,
+                    phase: SpanPhase::Forward { to: 0 },
+                }),
+                Some(id),
+                1,
+            ),
+        ];
+        for (ev, trace, node) in cases {
+            assert_eq!(ev.trace_id(), trace, "{ev:?}");
+            assert_eq!(ev.node(), NodeId(node), "{ev:?}");
+        }
     }
 
     #[test]
@@ -1216,6 +1352,7 @@ mod tests {
                     attempt: 1,
                     bytes: 40,
                     ok: false,
+                    trace: None,
                 }),
             );
         }
@@ -1227,6 +1364,7 @@ mod tests {
                 attempt: 1,
                 bytes: 40,
                 broadcast: false,
+                trace: None,
             }),
         );
         let top = c.noisiest_links(5);

@@ -55,10 +55,7 @@ use crate::engine::{Command, Ctx, MacState, Protocol, QueuedTx, ACK_BYTES};
 use crate::event::EventQueue;
 use crate::link::{LossModel, LossProcess};
 use crate::mac::MacConfig;
-use crate::obs::{
-    AckEvent, DropEvent, DropReason, Event, Observer, RxEvent, SpanEvent, SpanPhase, TimerEvent,
-    TxEvent,
-};
+use crate::obs::{AckEvent, DropEvent, DropReason, Event, Observer, RxEvent, TimerEvent, TxEvent};
 use crate::packet::{Frame, Payload, SendDone, SendToken, TimerId};
 use crate::profile::{self, Profiler, Subsystem};
 use crate::rng::{RngHub, StreamKind};
@@ -181,20 +178,6 @@ impl ShardObserver {
 impl Observer for ShardObserver {
     fn on_event(&self, now: SimTime, ev: &Event) {
         self.push(now, *ev);
-    }
-}
-
-/// Emits a lifecycle span when the frame being handled is traced.
-fn emit_span(obs: &dyn Observer, at: SimTime, trace: Option<u64>, node: u32, phase: SpanPhase) {
-    if let Some(trace_id) = trace {
-        obs.on_event(
-            at,
-            &Event::Span(SpanEvent {
-                trace_id,
-                node,
-                phase,
-            }),
-        );
     }
 }
 
@@ -462,17 +445,8 @@ impl<P: Protocol> Shard<P> {
                         attempt: frame.attempt,
                         bytes: frame.wire_bytes as u32,
                         broadcast: frame.is_broadcast,
+                        trace: frame.trace_id,
                     }),
-                );
-                emit_span(
-                    o.as_ref(),
-                    t,
-                    frame.trace_id,
-                    dst.0,
-                    SpanPhase::Deliver {
-                        src: frame.src.0,
-                        attempt: frame.attempt,
-                    },
                 );
             }
             self.with_protocol(sx, dst, l, |p, ctx| p.on_frame(ctx, frame));
@@ -483,16 +457,8 @@ impl<P: Protocol> Shard<P> {
                     node: dst.0,
                     dst: None,
                     reason: DropReason::ReceiverOff,
+                    trace: frame.trace_id,
                 }),
-            );
-            emit_span(
-                o.as_ref(),
-                t,
-                frame.trace_id,
-                dst.0,
-                SpanPhase::Drop {
-                    reason: DropReason::ReceiverOff,
-                },
             );
         }
     }
@@ -598,14 +564,8 @@ impl<P: Protocol> Shard<P> {
                     node: node.0,
                     dst: tx.dst.map(|d| d.0),
                     reason,
+                    trace: tx.trace,
                 }),
-            );
-            emit_span(
-                o.as_ref(),
-                self.time,
-                tx.trace,
-                node.0,
-                SpanPhase::Drop { reason },
             );
         }
         if let Some(dst) = tx.dst {
@@ -680,18 +640,8 @@ impl<P: Protocol> Shard<P> {
                     attempt: 1,
                     bytes: tx.bytes as u32,
                     ok: true,
+                    trace: tx.trace,
                 }),
-            );
-            emit_span(
-                o.as_ref(),
-                t_done,
-                tx.trace,
-                node.0,
-                SpanPhase::Tx {
-                    dst: None,
-                    attempt: 1,
-                    ok: true,
-                },
             );
         }
         let hub = sx.hub;
@@ -788,16 +738,8 @@ impl<P: Protocol> Shard<P> {
                         node: node.0,
                         dst: Some(dst.0),
                         reason: DropReason::NoLink,
+                        trace: tx.trace,
                     }),
-                );
-                emit_span(
-                    o.as_ref(),
-                    t_done,
-                    tx.trace,
-                    node.0,
-                    SpanPhase::Drop {
-                        reason: DropReason::NoLink,
-                    },
                 );
             }
             let key = self.next_key(l);
@@ -836,16 +778,8 @@ impl<P: Protocol> Shard<P> {
                         node: node.0,
                         dst: Some(dst.0),
                         reason: DropReason::ReceiverOff,
+                        trace: tx.trace,
                     }),
-                );
-                emit_span(
-                    o.as_ref(),
-                    t,
-                    tx.trace,
-                    node.0,
-                    SpanPhase::Drop {
-                        reason: DropReason::ReceiverOff,
-                    },
                 );
             }
             let key = self.next_key(l);
@@ -887,18 +821,8 @@ impl<P: Protocol> Shard<P> {
                         attempt,
                         bytes: tx.bytes as u32,
                         ok: data_ok,
+                        trace: tx.trace,
                     }),
-                );
-                emit_span(
-                    o.as_ref(),
-                    t,
-                    tx.trace,
-                    node.0,
-                    SpanPhase::Tx {
-                        dst: Some(dst.0),
-                        attempt,
-                        ok: data_ok,
-                    },
                 );
             }
             if data_ok {
@@ -975,16 +899,8 @@ impl<P: Protocol> Shard<P> {
                             node: node.0,
                             dst: Some(dst.0),
                             reason: DropReason::LinkExhausted,
+                            trace: tx.trace,
                         }),
-                    );
-                    emit_span(
-                        o.as_ref(),
-                        t,
-                        tx.trace,
-                        node.0,
-                        SpanPhase::Drop {
-                            reason: DropReason::LinkExhausted,
-                        },
                     );
                 }
                 SendDone {

@@ -9,7 +9,7 @@ use dophy_sim::obs::{
 };
 use dophy_sim::{ChromeTracer, LinkDynamics, Placement, SimConfig, SimDuration, SimTime};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn quick_spec() -> RunSpec {
     let sim = SimConfig {
@@ -307,8 +307,8 @@ fn fully_instrumented_run_is_bit_identical_and_artifacts_are_well_formed() {
     let tail = recorder.tail();
     assert_eq!(tail.len(), 128);
     assert!(
-        tail.iter().any(|r| matches!(r.event, Event::Span(_))),
-        "no spans in the recorder tail"
+        tail.iter().any(|r| r.event.trace_id().is_some()),
+        "no traced events in the recorder tail"
     );
 
     // JSONL tracer stayed healthy alongside everything else.
@@ -318,6 +318,78 @@ fn fully_instrumented_run_is_bit_identical_and_artifacts_are_well_formed() {
     // Every observer behind the two fan-outs saw every event exactly once.
     assert_eq!(jsonl.lines_written(), total(counter.counts()));
     assert_eq!(jsonl.lines_written(), recorder.total_recorded());
+}
+
+fn field<'a>(ev: &'a serde::Value, key: &str) -> &'a serde::Value {
+    serde::find_field(ev.as_object().expect("trace event is an object"), key)
+        .unwrap_or_else(|| panic!("chrome event missing {key}"))
+}
+
+/// Observer keeping every event with its timestamp, in arrival order.
+#[derive(Default)]
+struct Recorder(Mutex<Vec<(SimTime, Event)>>);
+
+impl Observer for Recorder {
+    fn on_event(&self, now: SimTime, ev: &Event) {
+        self.0.lock().unwrap().push((now, *ev));
+    }
+}
+
+/// One event per fact: the unsampled Chrome trace has exactly one
+/// complete event per observed event with a trace id, in order, at the
+/// event's time, on the track of the node it happened at, and carrying
+/// the event itself; every other event stays out of it.
+#[test]
+fn chrome_trace_renders_each_traced_event_once() {
+    let recorder = Arc::new(Recorder::default());
+    let chrome = Arc::new(ChromeTracer::new(Vec::new()));
+    let observer = Arc::new(MultiObserver::new(vec![
+        recorder.clone() as Arc<dyn Observer>,
+        chrome.clone() as Arc<dyn Observer>,
+    ]));
+    run_scenario_with(
+        &quick_spec(),
+        Instruments {
+            observer: Some(observer),
+            ..Instruments::default()
+        },
+    );
+    let chrome = Arc::try_unwrap(chrome)
+        .unwrap_or_else(|c| panic!("chrome tracer still shared: {} refs", Arc::strong_count(&c)));
+    let text = String::from_utf8(chrome.into_inner()).expect("chrome trace is UTF-8");
+    let parsed: serde::Value = serde_json::from_str(&text).expect("chrome trace parses");
+    let complete: Vec<&serde::Value> = parsed
+        .as_array()
+        .expect("chrome trace is an array")
+        .iter()
+        .filter(|ev| field(ev, "ph").as_str() == Some("X"))
+        .collect();
+    let traced: Vec<(SimTime, Event, u64)> = recorder
+        .0
+        .lock()
+        .unwrap()
+        .iter()
+        .filter_map(|&(t, ev)| ev.trace_id().map(|id| (t, ev, id)))
+        .collect();
+    assert!(traced.iter().any(|(_, ev, _)| matches!(ev, Event::Tx(_))));
+    assert!(traced
+        .iter()
+        .any(|(_, ev, _)| matches!(ev, Event::Decode(_))));
+    assert_eq!(complete.len(), traced.len());
+    for (ev, (t, want, id)) in complete.iter().zip(&traced) {
+        assert_eq!(field(ev, "ts"), &serde::Value::UInt(t.as_micros()));
+        assert_eq!(
+            field(ev, "tid"),
+            &serde::Value::UInt(u64::from(want.node().0))
+        );
+        let args = field(ev, "args");
+        assert_eq!(
+            field(args, "trace").as_str(),
+            Some(format!("{id:#018x}").as_str())
+        );
+        let got: Event = serde::Deserialize::from_value(field(args, "event")).unwrap();
+        assert_eq!(&got, want);
+    }
 }
 
 /// Observer that panics after a fixed number of transmissions — stands in
@@ -381,15 +453,15 @@ fn injected_panic_dumps_flight_recorder_postmortem() {
         serde::find_field(pm, "label").and_then(serde::Value::as_str),
         Some("panic-cell")
     );
-    let mut span_lines = 0;
+    let mut traced_lines = 0;
     for line in &lines[1..] {
         let rec: TraceRecord =
             serde_json::from_str(line).unwrap_or_else(|e| panic!("bad tail line {line}: {e}"));
-        if let Event::Span(s) = rec.event {
-            assert_ne!(s.trace_id, 0);
-            span_lines += 1;
+        if let Some(id) = rec.event.trace_id() {
+            assert_ne!(id, 0);
+            traced_lines += 1;
         }
     }
-    assert!(span_lines > 0, "postmortem tail carries no trace ids");
+    assert!(traced_lines > 0, "postmortem tail carries no trace ids");
     let _ = std::fs::remove_file(&path);
 }
