@@ -553,13 +553,21 @@ impl<P: Protocol> Shard<P> {
         }
     }
 
-    /// Reports a unicast that never reached the air as failed after zero
-    /// attempts (broadcasts are fire-and-forget).
-    fn refuse_tx(&mut self, node: NodeId, l: usize, tx: &QueuedTx, reason: DropReason) {
-        self.trace.queue_drops += 1;
+    /// Ends a send that failed at `at` after `attempts` attempts: reports
+    /// the drop and, for a unicast, schedules its unacked `SendDone`
+    /// (broadcasts are fire-and-forget). Callers keep their own counters.
+    fn fail_send(
+        &mut self,
+        node: NodeId,
+        l: usize,
+        tx: &QueuedTx,
+        at: SimTime,
+        reason: DropReason,
+        attempts: u16,
+    ) {
         if let Some(o) = &self.obs {
             o.on_event(
-                self.time,
+                at,
                 &Event::Drop(DropEvent {
                     node: node.0,
                     dst: tx.dst.map(|d| d.0),
@@ -570,32 +578,31 @@ impl<P: Protocol> Shard<P> {
         }
         if let Some(dst) = tx.dst {
             let key = self.next_key(l);
-            self.queue.push(
-                self.time,
-                key,
-                ShardEvent::SendDone {
-                    node,
-                    done: SendDone {
-                        token: tx.token,
-                        dst,
-                        acked: false,
-                        attempts: 0,
-                    },
-                },
-            );
+            let done = SendDone {
+                token: tx.token,
+                dst,
+                acked: false,
+                attempts,
+            };
+            self.queue
+                .push(at, key, ShardEvent::SendDone { node, done });
         }
     }
 
     fn enqueue_tx(&mut self, sx: &SharedCtx<'_>, node: NodeId, l: usize, tx: QueuedTx) {
-        if !self.radio_live[l] {
+        // A refused frame never reaches the air: zero attempts.
+        let reason = if !self.radio_live[l] {
             // Radio off: the frame silently dies in the driver.
-            self.refuse_tx(node, l, &tx, DropReason::RadioOff);
+            DropReason::RadioOff
         } else if self.macs[l].queue.len() >= sx.mac.queue_capacity {
-            self.refuse_tx(node, l, &tx, DropReason::QueueFull);
+            DropReason::QueueFull
         } else {
             self.macs[l].queue.push_back(tx);
             self.try_dequeue(sx, node, l);
-        }
+            return;
+        };
+        self.trace.queue_drops += 1;
+        self.fail_send(node, l, &tx, self.time, reason, 0);
     }
 
     fn try_dequeue(&mut self, sx: &SharedCtx<'_>, node: NodeId, l: usize) {
@@ -731,31 +738,7 @@ impl<P: Protocol> Shard<P> {
             let t_done = self.time + self.backoff(sx, l) + sx.mac.attempt_floor(tx.bytes);
             self.trace.unicast_started += 1;
             self.trace.unicast_failed += 1;
-            if let Some(o) = &self.obs {
-                o.on_event(
-                    t_done,
-                    &Event::Drop(DropEvent {
-                        node: node.0,
-                        dst: Some(dst.0),
-                        reason: DropReason::NoLink,
-                        trace: tx.trace,
-                    }),
-                );
-            }
-            let key = self.next_key(l);
-            self.queue.push(
-                t_done,
-                key,
-                ShardEvent::SendDone {
-                    node,
-                    done: SendDone {
-                        token: tx.token,
-                        dst,
-                        acked: false,
-                        attempts: 1,
-                    },
-                },
-            );
+            self.fail_send(node, l, &tx, t_done, DropReason::NoLink, 1);
             return;
         };
 
@@ -771,31 +754,8 @@ impl<P: Protocol> Shard<P> {
             }
             self.trace.unicast_started += 1;
             self.trace.unicast_failed += 1;
-            if let Some(o) = &self.obs {
-                o.on_event(
-                    t,
-                    &Event::Drop(DropEvent {
-                        node: node.0,
-                        dst: Some(dst.0),
-                        reason: DropReason::ReceiverOff,
-                        trace: tx.trace,
-                    }),
-                );
-            }
-            let key = self.next_key(l);
-            self.queue.push(
-                t,
-                key,
-                ShardEvent::SendDone {
-                    node,
-                    done: SendDone {
-                        token: tx.token,
-                        dst,
-                        acked: false,
-                        attempts: sx.mac.max_attempts,
-                    },
-                },
-            );
+            let attempts = sx.mac.max_attempts;
+            self.fail_send(node, l, &tx, t, DropReason::ReceiverOff, attempts);
             return;
         }
 
@@ -879,40 +839,25 @@ impl<P: Protocol> Shard<P> {
         }
         delivered.clear();
         self.delivered_scratch = delivered;
-        let done = match acked_at_attempt {
+        match acked_at_attempt {
             Some(attempts) => {
                 self.trace.unicast_acked += 1;
                 self.trace.attempts_hist.record(usize::from(attempts));
-                SendDone {
+                let key = self.next_key(l);
+                let done = SendDone {
                     token: tx.token,
                     dst,
                     acked: true,
                     attempts,
-                }
+                };
+                self.queue.push(t, key, ShardEvent::SendDone { node, done });
             }
             None => {
                 self.trace.unicast_failed += 1;
-                if let Some(o) = &self.obs {
-                    o.on_event(
-                        t,
-                        &Event::Drop(DropEvent {
-                            node: node.0,
-                            dst: Some(dst.0),
-                            reason: DropReason::LinkExhausted,
-                            trace: tx.trace,
-                        }),
-                    );
-                }
-                SendDone {
-                    token: tx.token,
-                    dst,
-                    acked: false,
-                    attempts: sx.mac.max_attempts,
-                }
+                let attempts = sx.mac.max_attempts;
+                self.fail_send(node, l, &tx, t, DropReason::LinkExhausted, attempts);
             }
-        };
-        let key = self.next_key(l);
-        self.queue.push(t, key, ShardEvent::SendDone { node, done });
+        }
     }
 }
 
