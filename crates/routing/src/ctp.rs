@@ -222,8 +222,10 @@ impl Router {
         true
     }
 
-    /// Call from the protocol's `on_send_done` for data frames sent via
-    /// [`next_hop`](Self::next_hop); feeds the data-driven estimator.
+    /// Call from the protocol's `on_send_done` for every completion. A
+    /// unicast's result feeds the data-driven estimate of its link; a
+    /// broadcast's (a beacon's: `dst` is this node, which has no table
+    /// entry) feeds nothing. Either way parent selection re-runs.
     pub fn on_send_done(&mut self, ctx: &mut Ctx<'_>, done: &SendDone) {
         if done.was_dropped() {
             return;

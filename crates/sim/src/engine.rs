@@ -49,7 +49,9 @@ pub trait Protocol: 'static {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, timer: TimerId);
     /// A frame copy was received.
     fn on_frame(&mut self, ctx: &mut Ctx<'_>, frame: &Frame);
-    /// A unicast send completed (or was dropped).
+    /// A send completed (or a unicast was dropped). Broadcasts complete
+    /// here too, with token `SendToken(u64::MAX)`, `dst` = this node,
+    /// `acked: true` and one attempt; a refused broadcast reports nothing.
     fn on_send_done(&mut self, _ctx: &mut Ctx<'_>, _done: &SendDone) {}
 }
 

@@ -60,7 +60,9 @@ impl Frame {
     }
 }
 
-/// Completion report for a unicast send (or queue drop).
+/// Completion report for a send (or a refused unicast). A broadcast
+/// completes with token `SendToken(u64::MAX)`, `dst` = the sender,
+/// `acked: true` and one attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SendDone {
     /// Token returned by the send call.

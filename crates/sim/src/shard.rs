@@ -705,9 +705,9 @@ impl<P: Protocol> Shard<P> {
             }
             None => self.copies_pool.push(local),
         }
-        // Broadcast completion frees the MAC; protocols are not notified
-        // per-broadcast (fire-and-forget), so reuse SendDone with the
-        // sentinel token for the MAC bookkeeping only.
+        // Broadcast completion frees the MAC and reaches the sender's
+        // `on_send_done` with the sentinel token, itself as `dst`, acked
+        // after one attempt.
         let key = self.next_key(l);
         self.queue.push(
             t_done,
@@ -1943,6 +1943,7 @@ mod tests {
     struct Beaconer {
         sent: bool,
         got: u32,
+        done: Vec<SendDone>,
     }
 
     impl Protocol for Beaconer {
@@ -1960,10 +1961,12 @@ mod tests {
             assert_eq!(frame.attempt, 1);
             self.got += 1;
         }
+        fn on_send_done(&mut self, _ctx: &mut Ctx<'_>, done: &SendDone) {
+            self.done.push(*done);
+        }
     }
 
-    #[test]
-    fn broadcast_reaches_neighbors() {
+    fn beacon_grid() -> Engine<Beaconer> {
         let hub = RngHub::new(11);
         let topo = Arc::new(Topology::generate(
             Placement::Grid {
@@ -1978,22 +1981,47 @@ mod tests {
             .iter()
             .map(|_| LossModel::Bernoulli { prr: 1.0 })
             .collect();
-        let n_neighbors = topo.neighbors(NodeId(0)).len();
         let protos = (0..topo.node_count())
             .map(|_| Beaconer {
                 sent: false,
                 got: 0,
+                done: Vec::new(),
             })
             .collect();
         let mut e = Engine::new(topo, &models, MacConfig::default(), hub, protos, 1);
         e.start();
         e.run_for(SimDuration::from_secs(1));
+        e
+    }
+
+    #[test]
+    fn broadcast_reaches_neighbors() {
+        let e = beacon_grid();
+        let n_neighbors = e.topology().neighbors(NodeId(0)).len();
         let total: u32 = (0..e.topology().node_count())
             .map(|i| e.protocol(NodeId::from_index(i)).got)
             .sum();
         assert_eq!(total as usize, n_neighbors);
         assert_eq!(e.trace().broadcast_tx, 1);
         assert_eq!(e.trace().broadcast_rx, total as u64);
+    }
+
+    #[test]
+    fn broadcast_completion_reaches_on_send_done() {
+        let e = beacon_grid();
+        assert!(e.protocol(NodeId(0)).sent);
+        assert_eq!(
+            e.protocol(NodeId(0)).done,
+            [SendDone {
+                token: SendToken(u64::MAX),
+                dst: NodeId(0),
+                acked: true,
+                attempts: 1,
+            }]
+        );
+        for i in 1..e.topology().node_count() {
+            assert!(e.protocol(NodeId::from_index(i)).done.is_empty());
+        }
     }
 
     /// Node 2 broadcasts once; receivers answer every frame with a
