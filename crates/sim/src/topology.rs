@@ -282,7 +282,7 @@ impl Placement {
 /// the 1000-node scale target, but costs 400 MB at 10k nodes.) All of it
 /// is derived from `positions` + `links`, so only those two travel on the
 /// wire (the manual serde impls below rebuild the rest through
-/// [`TopologyWire`]).
+/// `TopologyWire`).
 #[derive(Debug, Clone)]
 pub struct Topology {
     positions: Vec<Position>,
