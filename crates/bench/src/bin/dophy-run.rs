@@ -394,7 +394,7 @@ fn run(cli: Cli) -> Result<(), String> {
             &infer,
             &out.overhead,
             &out.decode,
-            Some(out.delivery_ratio),
+            (out.generated_packets > 0).then_some(out.delivery_ratio),
             SimTime::ZERO + spec.duration,
             &DiagnosisConfig {
                 max_attempts: spec.sim.mac.max_attempts,

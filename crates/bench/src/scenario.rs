@@ -215,7 +215,10 @@ pub struct RunOutput {
     pub dissemination_bytes: u64,
     /// Model refreshes performed.
     pub refreshes: u64,
-    /// End-to-end delivery ratio.
+    /// Data packets the sources generated: the delivery ratio's
+    /// denominator.
+    pub generated_packets: u64,
+    /// End-to-end delivery ratio (0 when no packet was generated).
     pub delivery_ratio: f64,
     /// Routing churn metrics.
     pub churn: ChurnReport,
@@ -556,6 +559,7 @@ pub fn run_scenario_with(spec: &RunSpec, inst: Instruments) -> RunOutput {
         overhead: s.overhead.clone(),
         dissemination_bytes: s.manager.dissemination_bytes,
         refreshes: s.manager.refreshes,
+        generated_packets: s.sent_per_origin.iter().sum(),
         delivery_ratio: s.total_delivery_ratio().unwrap_or(0.0),
         churn,
         true_hops,

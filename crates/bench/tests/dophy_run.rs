@@ -1,5 +1,6 @@
 //! `dophy-run --text` end to end: the health report describes the run the
-//! summary below it describes, faults included.
+//! summary below it describes, faults included, and a run that generated
+//! no packet has no delivery ratio.
 
 use dophy::protocol::DophyConfig;
 use dophy_bench::RunSpec;
@@ -20,6 +21,26 @@ fn number_after(text: &str, key: &str) -> f64 {
         .unwrap_or_else(|e| panic!("bad number after '{key}': {e}\n{text}"))
 }
 
+/// `dophy-run <spec> --text`'s stdout; panics if the run fails.
+fn run_text(spec: &RunSpec, tag: u32) -> String {
+    let path =
+        std::env::temp_dir().join(format!("dophy-run-text-{}-{tag}.json", std::process::id(),));
+    std::fs::write(&path, serde_json::to_string(spec).unwrap()).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_dophy-run"))
+        .arg(&path)
+        .arg("--text")
+        .output()
+        .expect("dophy-run starts");
+    let _ = std::fs::remove_file(&path);
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        out.status.success(),
+        "dophy-run failed: {}\n{stdout}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    stdout
+}
+
 #[test]
 fn text_report_describes_the_faulted_run_it_summarises() {
     let spec = RunSpec {
@@ -36,24 +57,7 @@ fn text_report_describes_the_faulted_run_it_summarises() {
             SimDuration::from_secs(300),
         )
     };
-    let path = std::env::temp_dir().join(format!(
-        "dophy-run-text-{}-{}.json",
-        std::process::id(),
-        line!()
-    ));
-    std::fs::write(&path, serde_json::to_string(&spec).unwrap()).unwrap();
-    let out = Command::new(env!("CARGO_BIN_EXE_dophy-run"))
-        .arg(&path)
-        .arg("--text")
-        .output()
-        .expect("dophy-run starts");
-    let _ = std::fs::remove_file(&path);
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(
-        out.status.success(),
-        "dophy-run failed: {}\n{stdout}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let stdout = run_text(&spec, line!());
 
     let header_packets = number_after(&stdout, "  delivered ");
     let header_decode_pct = number_after(&stdout, "decode ");
@@ -72,5 +76,27 @@ fn text_report_describes_the_faulted_run_it_summarises() {
     assert!(
         (header_decode_pct - 100.0 * summary_decode).abs() < 0.0051,
         "health header decode {header_decode_pct}% vs summary {summary_decode}:\n{stdout}"
+    );
+}
+
+#[test]
+fn text_report_of_a_run_without_packets_has_no_delivery_ratio() {
+    // The default spec cut to 30 s ends inside its 60 s warm-up, before
+    // any source generates a packet.
+    let out = Command::new(env!("CARGO_BIN_EXE_dophy-run"))
+        .arg("--print-default")
+        .output()
+        .expect("dophy-run starts");
+    assert!(out.status.success());
+    let spec: RunSpec = serde_json::from_str(std::str::from_utf8(&out.stdout).unwrap()).unwrap();
+    let spec = RunSpec {
+        duration: SimDuration::from_secs(30),
+        ..spec
+    };
+    assert!(spec.dophy.warmup > spec.duration);
+    let stdout = run_text(&spec, line!());
+    assert!(
+        stdout.contains("  delivered 0 packets (ratio -),"),
+        "a run without packets printed a delivery ratio:\n{stdout}"
     );
 }
