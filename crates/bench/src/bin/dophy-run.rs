@@ -33,7 +33,7 @@
 //! * `--trace-out <path>` — stream structured engine/protocol events;
 //!   `--trace-format jsonl` (default) writes one JSON record per line,
 //!   `--trace-format chrome` writes a Chrome-trace/Perfetto JSON array of
-//!   causal lifecycle spans (open it in `chrome://tracing` or
+//!   every traced lifecycle step (open it in `chrome://tracing` or
 //!   <https://ui.perfetto.dev>); `--trace-sample N` keeps 1-in-N trace
 //!   ids (chrome format only, whole lifecycles);
 //! * `--profile <path>` — enable hot-path self-profiling and write the

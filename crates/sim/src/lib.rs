@@ -27,7 +27,8 @@
 //! * **structured observability** ([`obs`]): one [`obs::Event`] stream
 //!   delivered to an [`obs::Observer`] (tx/rx/ack/drop/timer from the
 //!   engine, parent-change, epoch-switch and decode events that protocols
-//!   report through [`Ctx::emit`], and lifecycle spans), a JSONL tracer,
+//!   report through [`Ctx::emit`], and the lifecycle spans no other event
+//!   states), each fact reported once with its trace id, a JSONL tracer,
 //!   and a metrics registry — all guaranteed not to perturb simulation
 //!   state.
 //!

@@ -45,9 +45,10 @@ pub struct Frame {
     /// Simulated reception time.
     pub rx_time: SimTime,
     /// Causal lifecycle trace id carried by this frame, when the sender
-    /// tagged its send (see [`crate::obs::SpanEvent`]). Deterministic —
-    /// derived from protocol state, never from RNG — and ignored by the
-    /// engine except for span emission, so tracing cannot perturb a run.
+    /// tagged its send (see [`crate::obs::Event::trace_id`]).
+    /// Deterministic — derived from protocol state, never from RNG — and
+    /// read by the engine only to stamp its tx, rx and drop events, so
+    /// tracing cannot perturb a run.
     pub trace_id: Option<u64>,
     /// Protocol payload.
     pub payload: Payload,
