@@ -196,8 +196,8 @@ impl<W: Write + Send> Observer for ChromeTracer<W> {
 mod tests {
     use super::*;
     use crate::obs::{
-        data_trace_id, model_trace_id, DecodeEvent, DecodeOutcome, DropEvent, DropReason,
-        EpochSwitchEvent, RxEvent, SpanEvent, TxEvent,
+        data_trace_id, model_trace_id, DecodeEvent, DecodeOutcome, EpochSwitchEvent, SpanEvent,
+        TxEvent,
     };
     use crate::time::SimDuration;
     use serde::{find_field, Value};
@@ -219,12 +219,6 @@ mod tests {
             .unwrap_or_else(|| panic!("missing {key}: {ev:?}"))
     }
 
-    fn parse(tracer: ChromeTracer<Vec<u8>>) -> Vec<Value> {
-        let text = String::from_utf8(tracer.into_inner()).unwrap();
-        let parsed: Value = serde_json::from_str(&text).unwrap();
-        parsed.as_array().unwrap().to_vec()
-    }
-
     #[test]
     fn emits_well_formed_chrome_json() {
         let tracer = ChromeTracer::new(Vec::new());
@@ -241,77 +235,54 @@ mod tests {
                 trace: Some(id),
             }),
         );
-        // Untraced events are not lifecycle steps.
-        tracer.on_event(
-            t(25),
-            &Event::Tx(TxEvent {
-                src: 5,
-                dst: None,
-                attempt: 1,
-                bytes: 20,
-                ok: true,
-                trace: None,
-            }),
-        );
+        // A decode and an epoch switch derive their ids.
         tracer.on_event(
             t(30),
-            &Event::Drop(DropEvent {
-                node: 2,
-                dst: None,
-                reason: DropReason::TtlExpired,
-                trace: Some(id),
+            &Event::Decode(DecodeEvent {
+                origin: 5,
+                seq: 9,
+                hops: 1,
+                outcome: DecodeOutcome::Ok,
             }),
         );
+        tracer.on_event(t(40), &Event::EpochSwitch(EpochSwitchEvent { epoch: 4 }));
         assert!(tracer.finish());
         assert_eq!(tracer.io_errors(), 0);
-        let events = parse(tracer);
-        // 3 traced events × (complete event + flow event).
-        assert_eq!(events.len(), 6);
-        for ev in &events {
+        let buf = tracer.into_inner();
+        let text = String::from_utf8(buf).unwrap();
+        let parsed: Value = serde_json::from_str(&text).unwrap();
+        let events = parsed.as_array().unwrap();
+        // 4 traced events × (complete event + flow event).
+        assert_eq!(events.len(), 8);
+        for ev in events {
             for key in ["name", "cat", "ph", "ts", "pid", "tid"] {
                 field(ev, key);
             }
         }
-        assert_eq!(field(&events[0], "ph").as_str(), Some("X"));
-        assert_eq!(field(&events[0], "name").as_str(), Some("origin"));
-        assert_eq!(field(&events[0], "cat").as_str(), Some("data"));
-        assert_eq!(field(&events[0], "tid"), &Value::UInt(5));
-        assert_eq!(field(&events[2], "name").as_str(), Some("tx"));
+        let steps = [
+            ("origin", "data", 5, id),
+            ("tx", "data", 5, id),
+            // Decodes and epoch switches happen at the sink, track 0.
+            ("decode", "data", 0, id),
+            ("origin", "model", 0, model_trace_id(4)),
+        ];
+        for (ev, (name, cat, tid, trace)) in events.iter().step_by(2).zip(steps) {
+            assert_eq!(field(ev, "ph").as_str(), Some("X"));
+            assert_eq!(field(ev, "name").as_str(), Some(name));
+            assert_eq!(field(ev, "cat").as_str(), Some(cat));
+            assert_eq!(field(ev, "tid"), &Value::UInt(tid));
+            let args = field(ev, "args");
+            assert_eq!(
+                field(args, "trace").as_str(),
+                Some(&*format!("{trace:#018x}"))
+            );
+        }
         // First flow event starts the arrow chain; later ones continue it.
         assert_eq!(field(&events[1], "ph").as_str(), Some("s"));
         assert_eq!(field(&events[3], "ph").as_str(), Some("t"));
-        assert_eq!(field(&events[1], "id"), field(&events[3], "id"));
-        // The drop lands on the track of the node it happened at.
-        assert_eq!(field(&events[4], "name").as_str(), Some("drop"));
-        assert_eq!(field(&events[4], "tid"), &Value::UInt(2));
-    }
-
-    #[test]
-    fn decode_and_epoch_switch_render_on_the_sink_track() {
-        let tracer = ChromeTracer::new(Vec::new());
-        tracer.on_event(t(10), &Event::EpochSwitch(EpochSwitchEvent { epoch: 4 }));
-        tracer.on_event(
-            t(20),
-            &Event::Decode(DecodeEvent {
-                origin: 7,
-                seq: 3,
-                hops: 2,
-                outcome: DecodeOutcome::Ok,
-            }),
-        );
-        let events = parse(tracer);
-        assert_eq!(events.len(), 4);
-        let steps = [
-            (&events[0], "origin", "model", model_trace_id(4)),
-            (&events[2], "decode", "data", data_trace_id(7, 3)),
-        ];
-        for (ev, name, cat, id) in steps {
-            assert_eq!(field(ev, "name").as_str(), Some(name));
-            assert_eq!(field(ev, "cat").as_str(), Some(cat));
-            assert_eq!(field(ev, "tid"), &Value::UInt(0));
-            let trace = field(field(ev, "args"), "trace").as_str().unwrap();
-            assert_eq!(trace, format!("{id:#018x}"));
-        }
+        assert_eq!(field(&events[5], "ph").as_str(), Some("t"));
+        assert_eq!(field(&events[7], "ph").as_str(), Some("s"));
+        assert_eq!(field(&events[1], "id"), field(&events[5], "id"));
     }
 
     #[test]
@@ -324,31 +295,28 @@ mod tests {
             tracer.on_event(t(u64::from(seq)), &span(id, 1, SpanPhase::Origin));
             tracer.on_event(
                 t(u64::from(seq) + 1),
-                &Event::Rx(RxEvent {
-                    src: 1,
-                    dst: 0,
-                    attempt: 1,
-                    bytes: 40,
-                    broadcast: false,
-                    trace: Some(id),
-                }),
+                &span(id, 2, SpanPhase::Forward { to: 0 }),
             );
             if keep {
                 kept += 1;
             }
         }
         tracer.finish();
-        // A kept id contributes both steps × 2 events each; dropped ids none.
+        // A kept id contributes both spans × 2 events each; dropped ids none.
         assert_eq!(tracer.events_written(), u64::from(kept) * 4);
         assert!(kept > 0, "sampler kept nothing out of 200 lifecycles");
         assert!(kept < 200, "sampler kept everything despite 1-in-7");
-        assert_eq!(parse(tracer).len(), kept as usize * 4);
+        let text = String::from_utf8(tracer.into_inner()).unwrap();
+        let parsed: Value = serde_json::from_str(&text).unwrap();
+        assert_eq!(parsed.as_array().unwrap().len(), kept as usize * 4);
     }
 
     #[test]
     fn empty_trace_is_valid_json() {
         let tracer = ChromeTracer::new(Vec::new());
         tracer.finish();
-        assert!(parse(tracer).is_empty());
+        let text = String::from_utf8(tracer.into_inner()).unwrap();
+        let parsed: Value = serde_json::from_str(&text).unwrap();
+        assert_eq!(parsed, Value::Array(Vec::new()));
     }
 }

@@ -1167,113 +1167,38 @@ mod tests {
 
     #[test]
     fn trace_id_and_node_of_every_kind() {
+        // Events as a JSONL trace records them; `ID` stands for `id`.
         let id = data_trace_id(4, 9);
-        let cases = [
-            (
-                Event::Tx(TxEvent {
-                    src: 4,
-                    dst: Some(2),
-                    attempt: 1,
-                    bytes: 40,
-                    ok: true,
-                    trace: Some(id),
-                }),
-                Some(id),
-                4,
-            ),
-            (
-                Event::Tx(TxEvent {
-                    src: 5,
-                    dst: None,
-                    attempt: 1,
-                    bytes: 20,
-                    ok: true,
-                    trace: None,
-                }),
-                None,
-                5,
-            ),
-            (
-                Event::Rx(RxEvent {
-                    src: 4,
-                    dst: 2,
-                    attempt: 2,
-                    bytes: 40,
-                    broadcast: false,
-                    trace: Some(id),
-                }),
-                Some(id),
-                2,
-            ),
-            (
-                Event::Ack(AckEvent {
-                    src: 4,
-                    dst: 2,
-                    attempt: 2,
-                    ok: true,
-                }),
-                None,
-                2,
-            ),
-            (
-                Event::Drop(DropEvent {
-                    node: 2,
-                    dst: Some(1),
-                    reason: DropReason::LinkExhausted,
-                    trace: Some(id),
-                }),
-                Some(id),
-                2,
-            ),
-            (
-                Event::Drop(DropEvent {
-                    node: 3,
-                    dst: None,
-                    reason: DropReason::NoRoute,
-                    trace: None,
-                }),
-                None,
-                3,
-            ),
-            (Event::Timer(TimerEvent { node: 6, timer: 1 }), None, 6),
-            (
-                Event::ParentChange(ParentChangeEvent {
-                    node: 7,
-                    old_parent: None,
-                    new_parent: 0,
-                    etx: 1.0,
-                }),
-                None,
-                7,
-            ),
-            (
-                Event::EpochSwitch(EpochSwitchEvent { epoch: 3 }),
-                Some(model_trace_id(3)),
-                0,
-            ),
-            (
-                Event::Decode(DecodeEvent {
-                    origin: 4,
-                    seq: 9,
-                    hops: 2,
-                    outcome: DecodeOutcome::Ok,
-                }),
-                Some(id),
-                0,
-            ),
-            (
-                Event::Span(SpanEvent {
-                    trace_id: id,
-                    node: 1,
-                    phase: SpanPhase::Forward { to: 0 },
-                }),
-                Some(id),
-                1,
-            ),
+        let events = [
+            r#"{"Tx":{"src":4,"dst":2,"attempt":1,"bytes":40,"ok":true,"trace":ID}}"#,
+            r#"{"Tx":{"src":5,"dst":null,"attempt":1,"bytes":20,"ok":true,"trace":null}}"#,
+            r#"{"Rx":{"src":4,"dst":2,"attempt":2,"bytes":40,"broadcast":false,"trace":ID}}"#,
+            r#"{"Ack":{"src":4,"dst":2,"attempt":2,"ok":true}}"#,
+            r#"{"Drop":{"node":2,"dst":1,"reason":"LinkExhausted","trace":ID}}"#,
+            r#"{"Drop":{"node":3,"dst":null,"reason":"NoRoute","trace":null}}"#,
+            r#"{"Timer":{"node":6,"timer":1}}"#,
+            r#"{"ParentChange":{"node":7,"old_parent":null,"new_parent":0,"etx":1.0}}"#,
+            r#"{"EpochSwitch":{"epoch":3}}"#,
+            r#"{"Decode":{"origin":4,"seq":9,"hops":2,"outcome":"Ok"}}"#,
+            r#"{"Span":{"trace_id":ID,"node":1,"phase":{"Forward":{"to":0}}}}"#,
         ];
-        for (ev, trace, node) in cases {
-            assert_eq!(ev.trace_id(), trace, "{ev:?}");
-            assert_eq!(ev.node(), NodeId(node), "{ev:?}");
+        let want = [
+            (Some(id), 4),
+            (None, 5),
+            (Some(id), 2),
+            (None, 2),
+            (Some(id), 2),
+            (None, 3),
+            (None, 6),
+            (None, 7),
+            (Some(model_trace_id(3)), 0),
+            (Some(id), 0),
+            (Some(id), 1),
+        ];
+        for (json, (trace, node)) in events.iter().zip(want) {
+            let ev: Event = serde_json::from_str(&json.replace("ID", &id.to_string())).unwrap();
+            assert_eq!(ev.trace_id(), trace, "{json}");
+            assert_eq!(ev.node(), NodeId(node), "{json}");
         }
     }
 

@@ -213,6 +213,21 @@ fn metrics_cadence_does_not_perturb_results() {
     assert!(!sampled.metrics.is_empty());
 }
 
+fn field<'a>(ev: &'a serde::Value, key: &str) -> &'a serde::Value {
+    serde::find_field(ev.as_object().expect("trace event is an object"), key)
+        .unwrap_or_else(|| panic!("chrome event missing {key}"))
+}
+
+/// Observer keeping every event with its timestamp, in arrival order.
+#[derive(Default)]
+struct Recorder(Mutex<Vec<(SimTime, Event)>>);
+
+impl Observer for Recorder {
+    fn on_event(&self, now: SimTime, ev: &Event) {
+        self.0.lock().unwrap().push((now, *ev));
+    }
+}
+
 /// The full deep-observability stack at once — lifecycle tracing to both
 /// exporters, event counting, hot-path profiling, metrics sampling, and
 /// the flight recorder — must still leave the simulation bit-identical to
@@ -225,11 +240,13 @@ fn fully_instrumented_run_is_bit_identical_and_artifacts_are_well_formed() {
     let jsonl = Arc::new(JsonlTracer::new(Vec::new()));
     let chrome = Arc::new(ChromeTracer::new(Vec::new()));
     let counter = Arc::new(CountingObserver::new());
+    let seen = Arc::new(Recorder::default());
     let recorder = Arc::new(FlightRecorder::new(128));
     let observer = Arc::new(MultiObserver::new(vec![
         jsonl.clone() as Arc<dyn Observer>,
         chrome.clone() as Arc<dyn Observer>,
         counter.clone() as Arc<dyn Observer>,
+        seen.clone() as Arc<dyn Observer>,
     ]));
     let full = run_scenario_with(
         &spec,
@@ -246,7 +263,7 @@ fn fully_instrumented_run_is_bit_identical_and_artifacts_are_well_formed() {
     // Zero perturbation even with everything on at once.
     assert_eq!(fingerprint(&bare), fingerprint(&full));
 
-    // The Chrome trace is one well-formed JSON array of span events.
+    // The Chrome trace is one well-formed JSON array of lifecycle steps.
     assert!(chrome.finish());
     assert_eq!(chrome.io_errors(), 0);
     assert!(chrome.events_written() > 0, "chrome trace is empty");
@@ -260,13 +277,32 @@ fn fully_instrumented_run_is_bit_identical_and_artifacts_are_well_formed() {
     let events = parsed.as_array().expect("chrome trace is an array");
     assert!(!events.is_empty());
     for ev in events {
-        let obj = ev.as_object().expect("trace event is an object");
         for key in ["name", "cat", "ph", "ts", "pid", "tid"] {
-            assert!(
-                serde::find_field(obj, key).is_some(),
-                "chrome event missing {key}"
-            );
+            field(ev, key);
         }
+    }
+    // One event per fact: one complete event per observed event with a
+    // trace id, in order, at its time, on its node's track, carrying it.
+    let complete: Vec<&serde::Value> = events
+        .iter()
+        .filter(|ev| field(ev, "ph").as_str() == Some("X"))
+        .collect();
+    let seen = seen.0.lock().unwrap();
+    let traced: Vec<(SimTime, Event, u64)> = seen
+        .iter()
+        .filter_map(|&(t, ev)| ev.trace_id().map(|id| (t, ev, id)))
+        .collect();
+    assert_eq!(complete.len(), traced.len());
+    for (ev, (t, want, id)) in complete.iter().zip(&traced) {
+        assert_eq!(field(ev, "ts"), &serde::Value::UInt(t.as_micros()));
+        assert_eq!(
+            field(ev, "tid"),
+            &serde::Value::UInt(u64::from(want.node().0))
+        );
+        let args = field(ev, "args");
+        assert_eq!(field(args, "trace").as_str(), Some(&*format!("{id:#018x}")));
+        let got: Event = serde::Deserialize::from_value(field(args, "event")).unwrap();
+        assert_eq!(&got, want);
     }
 
     // The profiler reported every instrumented subsystem, and each one
@@ -318,78 +354,6 @@ fn fully_instrumented_run_is_bit_identical_and_artifacts_are_well_formed() {
     // Every observer behind the two fan-outs saw every event exactly once.
     assert_eq!(jsonl.lines_written(), total(counter.counts()));
     assert_eq!(jsonl.lines_written(), recorder.total_recorded());
-}
-
-fn field<'a>(ev: &'a serde::Value, key: &str) -> &'a serde::Value {
-    serde::find_field(ev.as_object().expect("trace event is an object"), key)
-        .unwrap_or_else(|| panic!("chrome event missing {key}"))
-}
-
-/// Observer keeping every event with its timestamp, in arrival order.
-#[derive(Default)]
-struct Recorder(Mutex<Vec<(SimTime, Event)>>);
-
-impl Observer for Recorder {
-    fn on_event(&self, now: SimTime, ev: &Event) {
-        self.0.lock().unwrap().push((now, *ev));
-    }
-}
-
-/// One event per fact: the unsampled Chrome trace has exactly one
-/// complete event per observed event with a trace id, in order, at the
-/// event's time, on the track of the node it happened at, and carrying
-/// the event itself; every other event stays out of it.
-#[test]
-fn chrome_trace_renders_each_traced_event_once() {
-    let recorder = Arc::new(Recorder::default());
-    let chrome = Arc::new(ChromeTracer::new(Vec::new()));
-    let observer = Arc::new(MultiObserver::new(vec![
-        recorder.clone() as Arc<dyn Observer>,
-        chrome.clone() as Arc<dyn Observer>,
-    ]));
-    run_scenario_with(
-        &quick_spec(),
-        Instruments {
-            observer: Some(observer),
-            ..Instruments::default()
-        },
-    );
-    let chrome = Arc::try_unwrap(chrome)
-        .unwrap_or_else(|c| panic!("chrome tracer still shared: {} refs", Arc::strong_count(&c)));
-    let text = String::from_utf8(chrome.into_inner()).expect("chrome trace is UTF-8");
-    let parsed: serde::Value = serde_json::from_str(&text).expect("chrome trace parses");
-    let complete: Vec<&serde::Value> = parsed
-        .as_array()
-        .expect("chrome trace is an array")
-        .iter()
-        .filter(|ev| field(ev, "ph").as_str() == Some("X"))
-        .collect();
-    let traced: Vec<(SimTime, Event, u64)> = recorder
-        .0
-        .lock()
-        .unwrap()
-        .iter()
-        .filter_map(|&(t, ev)| ev.trace_id().map(|id| (t, ev, id)))
-        .collect();
-    assert!(traced.iter().any(|(_, ev, _)| matches!(ev, Event::Tx(_))));
-    assert!(traced
-        .iter()
-        .any(|(_, ev, _)| matches!(ev, Event::Decode(_))));
-    assert_eq!(complete.len(), traced.len());
-    for (ev, (t, want, id)) in complete.iter().zip(&traced) {
-        assert_eq!(field(ev, "ts"), &serde::Value::UInt(t.as_micros()));
-        assert_eq!(
-            field(ev, "tid"),
-            &serde::Value::UInt(u64::from(want.node().0))
-        );
-        let args = field(ev, "args");
-        assert_eq!(
-            field(args, "trace").as_str(),
-            Some(format!("{id:#018x}").as_str())
-        );
-        let got: Event = serde::Deserialize::from_value(field(args, "event")).unwrap();
-        assert_eq!(&got, want);
-    }
 }
 
 /// Observer that panics after a fixed number of transmissions — stands in
