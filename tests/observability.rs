@@ -9,7 +9,7 @@ use dophy_sim::obs::{
 };
 use dophy_sim::{ChromeTracer, LinkDynamics, Placement, SimConfig, SimDuration, SimTime};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 fn quick_spec() -> RunSpec {
     let sim = SimConfig {
@@ -218,16 +218,6 @@ fn field<'a>(ev: &'a serde::Value, key: &str) -> &'a serde::Value {
         .unwrap_or_else(|| panic!("chrome event missing {key}"))
 }
 
-/// Observer keeping every event with its timestamp, in arrival order.
-#[derive(Default)]
-struct Recorder(Mutex<Vec<(SimTime, Event)>>);
-
-impl Observer for Recorder {
-    fn on_event(&self, now: SimTime, ev: &Event) {
-        self.0.lock().unwrap().push((now, *ev));
-    }
-}
-
 /// The full deep-observability stack at once — lifecycle tracing to both
 /// exporters, event counting, hot-path profiling, metrics sampling, and
 /// the flight recorder — must still leave the simulation bit-identical to
@@ -240,7 +230,8 @@ fn fully_instrumented_run_is_bit_identical_and_artifacts_are_well_formed() {
     let jsonl = Arc::new(JsonlTracer::new(Vec::new()));
     let chrome = Arc::new(ChromeTracer::new(Vec::new()));
     let counter = Arc::new(CountingObserver::new());
-    let seen = Arc::new(Recorder::default());
+    // Large enough to keep every event of the run.
+    let seen = Arc::new(FlightRecorder::new(1 << 17));
     let recorder = Arc::new(FlightRecorder::new(128));
     let observer = Arc::new(MultiObserver::new(vec![
         jsonl.clone() as Arc<dyn Observer>,
@@ -287,14 +278,15 @@ fn fully_instrumented_run_is_bit_identical_and_artifacts_are_well_formed() {
         .iter()
         .filter(|ev| field(ev, "ph").as_str() == Some("X"))
         .collect();
-    let seen = seen.0.lock().unwrap();
-    let traced: Vec<(SimTime, Event, u64)> = seen
+    let seen = seen.tail();
+    assert_eq!(seen.len() as u64, jsonl.lines_written(), "recorder evicted");
+    let traced: Vec<(u64, Event, u64)> = seen
         .iter()
-        .filter_map(|&(t, ev)| ev.trace_id().map(|id| (t, ev, id)))
+        .filter_map(|r| r.event.trace_id().map(|id| (r.t_us, r.event, id)))
         .collect();
     assert_eq!(complete.len(), traced.len());
-    for (ev, (t, want, id)) in complete.iter().zip(&traced) {
-        assert_eq!(field(ev, "ts"), &serde::Value::UInt(t.as_micros()));
+    for (ev, (t_us, want, id)) in complete.iter().zip(&traced) {
+        assert_eq!(field(ev, "ts"), &serde::Value::UInt(*t_us));
         assert_eq!(
             field(ev, "tid"),
             &serde::Value::UInt(u64::from(want.node().0))
