@@ -17,6 +17,7 @@ use crate::symbols::SymbolSpaces;
 use dophy_coding::aggregate::AttemptObservation;
 use dophy_coding::model::SymbolModel;
 use dophy_coding::range::{RangeCodingError, RangeDecoder, RangeEncoder};
+use dophy_sim::obs::DecodeOutcome;
 use dophy_sim::{NodeId, Topology};
 
 /// One recovered hop.
@@ -134,6 +135,20 @@ impl std::fmt::Display for DecodeError {
 }
 
 impl std::error::Error for DecodeError {}
+
+/// The quarantine class the sink counts and reports for each failure.
+impl From<DecodeError> for DecodeOutcome {
+    fn from(e: DecodeError) -> Self {
+        match e {
+            DecodeError::IndexOutOfRange { .. } => Self::BadIndex,
+            DecodeError::PathMismatch { .. } => Self::PathMismatch,
+            DecodeError::Coding(_) => Self::Coding,
+            DecodeError::CodingDisabled => Self::Disabled,
+            DecodeError::HopCountOutOfRange { .. } => Self::BadHopCount,
+            DecodeError::OriginOutOfRange { .. } => Self::Malformed,
+        }
+    }
+}
 
 /// Decodes a delivered packet.
 ///
