@@ -178,9 +178,10 @@ pub enum DecodeOutcome {
 /// A sink-side packet decode finished (successfully or not).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DecodeEvent {
-    /// Origin node of the packet.
+    /// Origin node of the packet the frame carries (from its trace id, so
+    /// corruption of the header in flight does not change it).
     pub origin: u32,
-    /// Origin sequence number.
+    /// Origin sequence number, from the same trace id.
     pub seq: u32,
     /// Hop count the packet claimed.
     pub hops: u16,
@@ -232,8 +233,11 @@ impl TraceKind {
     }
 }
 
-/// Trace id for a data (probe) packet: stable across every hop because
-/// it is derived from the origin header, not from per-hop state.
+/// Trace id for a data (probe) packet, derived from its origin and
+/// sequence number when the origin sends it. The frame carries the id and
+/// every forwarder relays it rather than re-deriving it from the header,
+/// so it stays the same on every hop even when corruption damages the
+/// header's origin or seq in flight.
 ///
 /// Layout: tag(2) | origin(30) | seq(32). Node ids are masked to 30 bits;
 /// ids past 2^30 would alias in traces only (identification, never
@@ -241,6 +245,13 @@ impl TraceKind {
 #[must_use]
 pub const fn data_trace_id(origin: u32, seq: u32) -> u64 {
     (1u64 << 62) | (((origin & 0x3FFF_FFFF) as u64) << 32) | seq as u64
+}
+
+/// The `(origin, seq)` a [`data_trace_id`] names: its inverse for every
+/// origin below 2^30.
+#[must_use]
+pub const fn data_identity(trace_id: u64) -> (u32, u32) {
+    (((trace_id >> 32) & 0x3FFF_FFFF) as u32, trace_id as u32)
 }
 
 /// Trace id for a routing beacon, from the sender's beacon counter.
@@ -1139,6 +1150,7 @@ mod tests {
         assert_ne!(d, b);
         assert_ne!(d, data_trace_id(7, 43));
         assert_eq!(d, data_trace_id(7, 42));
+        assert_eq!(data_identity(d), (7, 42));
     }
 
     #[test]
