@@ -583,7 +583,7 @@ pub fn run_scenario_with(spec: &RunSpec, inst: Instruments) -> RunOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dophy_sim::{LinkDynamics, MacConfig, Placement, RadioModel};
+    use dophy_sim::{DisseminationFaultConfig, LinkDynamics, MacConfig, Placement, RadioModel};
 
     fn quick_spec() -> RunSpec {
         let sim = SimConfig {
@@ -828,9 +828,16 @@ mod tests {
         // The lifted refusal: frame-corruption faults now draw from
         // per-receiver-node streams, so a corrupted run must be
         // byte-identical at every shard count — and identical to a rerun
-        // of itself (determinism), with faults actually firing.
+        // of itself (determinism), with faults actually firing. Dropped
+        // and late model floods ride along.
         let spec = RunSpec {
-            faults: Some(FaultConfig::corruption(0.05)),
+            faults: Some(FaultConfig {
+                dissemination: Some(DisseminationFaultConfig {
+                    drop_prob: 0.3,
+                    mean_extra_delay: SimDuration::from_secs(5),
+                }),
+                ..FaultConfig::corruption(0.05)
+            }),
             ..quick_spec()
         };
         let a = run_scenario(&spec.with_shards(1));
@@ -838,6 +845,7 @@ mod tests {
         let c = run_scenario(&spec.with_shards(5));
         let fa = a.faults.expect("fault summary present");
         assert!(fa.injection.frames_corrupted > 0, "faults must fire");
+        assert!(fa.dissemination_drops > 0, "dissemination faults must fire");
         assert_eq!(a.faults, b.faults, "injection diverged across shards");
         assert_eq!(b.faults, c.faults, "faulted rerun diverged");
         assert_eq!(a.decode, b.decode);

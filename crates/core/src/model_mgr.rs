@@ -14,9 +14,10 @@ use crate::header::Epoch;
 use crate::symbols::SymbolSpaces;
 use dophy_coding::model::{AdaptiveModel, StaticModel};
 use dophy_coding::serialize::ModelBlob;
-use dophy_sim::{DisseminationFaultConfig, RngHub, SimDuration, SimTime, StreamKind};
+use dophy_sim::{FaultPlan, RngHub, SimDuration, SimTime, StreamKind};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// One epoch's coding tables (shared verbatim by nodes and sink).
 #[derive(Debug, Clone, PartialEq)]
@@ -95,7 +96,10 @@ impl Default for ModelUpdateConfig {
 }
 
 /// Sink-side model state: learning, epoch history, and per-node
-/// dissemination schedules.
+/// dissemination schedules. Each flood reaches node `n` after a delay
+/// drawn from `n`'s own stream; a fault plan handed over with
+/// [`ModelManager::set_fault_plan`] may drop it there or add to that
+/// delay.
 #[derive(Debug, Clone)]
 pub struct ModelManager {
     spaces: SymbolSpaces,
@@ -117,8 +121,9 @@ pub struct ModelManager {
     pub dissemination_bytes: u64,
     /// Number of refreshes performed.
     pub refreshes: u64,
-    /// Injected dissemination faults (drops/extra delay), when configured.
-    dissem_faults: Option<DisseminationFaultConfig>,
+    /// The run's fault plan, which decides each node's dissemination
+    /// fate (drop or extra delay) when it injects dissemination faults.
+    fault_plan: Option<Arc<FaultPlan>>,
     /// Node/epoch floods suppressed by injected dissemination faults.
     pub dissemination_drops: u64,
 }
@@ -158,18 +163,19 @@ impl ModelManager {
             depth,
             dissemination_bytes: 0,
             refreshes: 0,
-            dissem_faults: None,
+            fault_plan: None,
             dissemination_drops: 0,
         }
     }
 
-    /// Enables injected dissemination faults: each future epoch flood
-    /// independently misses some nodes (they never activate that epoch)
-    /// and reaches others late. Draws come from the dedicated
-    /// [`StreamKind::Fault`] streams, so enabling faults leaves the
-    /// unfaulted dissemination schedule untouched.
-    pub fn set_dissemination_faults(&mut self, faults: DisseminationFaultConfig) {
-        self.dissem_faults = Some(faults);
+    /// Hands the manager the run's fault plan. When the plan injects
+    /// dissemination faults, each future epoch flood independently misses
+    /// some nodes (they never activate that epoch) and reaches others late,
+    /// as [`FaultPlan::dissemination_fault`] decides. The plan draws from
+    /// its own streams, so the unfaulted dissemination schedule is
+    /// untouched.
+    pub fn set_fault_plan(&mut self, plan: Arc<FaultPlan>) {
+        self.fault_plan = Some(plan);
     }
 
     /// The alphabet configuration.
@@ -311,28 +317,20 @@ impl ModelManager {
                 internal_epoch as u64,
             );
             let base = per_hop * self.depth[n] as u64;
-            let mut delay = SimDuration::from_micros(base + rng.gen_range(0..per_hop));
-            // Injected dissemination faults draw from the dedicated Fault
-            // streams so the schedule above is identical with faults off.
-            if let Some(faults) = self.dissem_faults {
-                let mut frng = hub.stream(
-                    StreamKind::Fault,
-                    0xD15F_0000 ^ n as u64,
-                    internal_epoch as u64,
-                );
-                if frng.gen::<f64>() < faults.drop_prob {
+            let delay = SimDuration::from_micros(base + rng.gen_range(0..per_hop));
+            let fate = match &self.fault_plan {
+                Some(plan) => plan.dissemination_fault(n as u32, internal_epoch as u64),
+                None => Some(SimDuration::ZERO),
+            };
+            match fate {
+                Some(extra) => acts.push(now + (delay + extra)),
+                None => {
                     // The flood never reaches this node: park the
                     // activation unreachably far in the future.
                     self.dissemination_drops += 1;
                     acts.push(SimTime::from_micros(u64::MAX));
-                    continue;
                 }
-                let u: f64 = frng.gen();
-                let span = -(1.0 - u.min(1.0 - 1e-12)).ln();
-                let extra = faults.mean_extra_delay.as_micros() as f64 * span;
-                delay = delay + SimDuration::from_micros(extra as u64);
             }
-            acts.push(now + delay);
         }
         // The sink itself flips instantly.
         self.activation[0][internal_epoch] = now;
@@ -373,6 +371,7 @@ mod tests {
     use super::*;
     use dophy_coding::aggregate::AggregationPolicy;
     use dophy_coding::model::SymbolModel;
+    use dophy_sim::{DisseminationFaultConfig, FaultConfig};
 
     fn spaces() -> SymbolSpaces {
         SymbolSpaces::new(8, 7, AggregationPolicy::Cap { cap: 4 }, false)
@@ -598,13 +597,17 @@ mod tests {
         };
         let build = |faulted: bool| {
             let mut m = ModelManager::new(spaces(), cfg, (0..50).map(|n| n / 10).collect());
-            if faulted {
-                m.set_dissemination_faults(DisseminationFaultConfig {
-                    drop_prob: 0.3,
-                    mean_extra_delay: SimDuration::from_secs(5),
-                });
-            }
             let hub = RngHub::new(13);
+            if faulted {
+                let faults = FaultConfig {
+                    dissemination: Some(DisseminationFaultConfig {
+                        drop_prob: 0.3,
+                        mean_extra_delay: SimDuration::from_secs(5),
+                    }),
+                    ..FaultConfig::none()
+                };
+                m.set_fault_plan(Arc::new(FaultPlan::new(faults, &hub)));
+            }
             m.observe(0, 0);
             m.refresh(t(1000), &hub).unwrap();
             m

@@ -353,8 +353,9 @@ impl FaultPlan {
 
     /// Dissemination fate of `(node, epoch)`: `None` when the flood never
     /// reaches the node, `Some(extra)` with the extra delay to add
-    /// otherwise (zero without dissemination faults). Pure in
-    /// `(seed, node, epoch)`.
+    /// otherwise (zero, without a draw, when the plan injects no
+    /// dissemination faults). Pure in `(seed, node, epoch)`. A protocol's
+    /// model dissemination asks it once per node and epoch flood.
     pub fn dissemination_fault(&self, node: u32, epoch: u64) -> Option<SimDuration> {
         let Some(f) = self.cfg.dissemination else {
             return Some(SimDuration::ZERO);
