@@ -1,6 +1,6 @@
 //! `dophy-run --text` end to end: the health report describes the run the
 //! summary below it describes, faults included, and a run that generated
-//! no packet has no delivery ratio.
+//! no packet has no delivery, decode or overhead ratio.
 
 use dophy::protocol::DophyConfig;
 use dophy_bench::RunSpec;
@@ -96,7 +96,7 @@ fn text_report_of_a_run_without_packets_has_no_delivery_ratio() {
     assert!(spec.dophy.warmup > spec.duration);
     let stdout = run_text(&spec, line!());
     assert!(
-        stdout.contains("  delivered 0 packets (ratio -),"),
-        "a run without packets printed a delivery ratio:\n{stdout}"
+        stdout.contains("  delivered 0 packets (ratio -), decode -, overhead -\n"),
+        "a run without packets printed a delivery, decode or overhead ratio:\n{stdout}"
     );
 }

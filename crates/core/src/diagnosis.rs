@@ -130,15 +130,16 @@ impl NetworkHealthReport {
     pub fn render(&self, top_links: usize) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "network health @ {:.0}s", self.at_s);
+        // A run that delivered nothing has no decode or overhead ratio.
+        let or_dash = |v: Option<String>| v.unwrap_or_else(|| "-".into());
+        let delivered = self.delivered_packets > 0;
         let _ = writeln!(
             out,
-            "  delivered {} packets (ratio {}), decode {:.2}%, overhead {:.2} B/pkt",
+            "  delivered {} packets (ratio {}), decode {}, overhead {}",
             self.delivered_packets,
-            self.delivery_ratio
-                .map(|d| format!("{d:.3}"))
-                .unwrap_or_else(|| "-".into()),
-            100.0 * self.decode_success,
-            self.measurement_bytes_per_packet,
+            or_dash(self.delivery_ratio.map(|d| format!("{d:.3}"))),
+            or_dash(delivered.then(|| format!("{:.2}%", 100.0 * self.decode_success))),
+            or_dash(delivered.then(|| format!("{:.2} B/pkt", self.measurement_bytes_per_packet))),
         );
         let _ = writeln!(out, "  monitoring {} links", self.links_monitored);
         if self.alarms.is_empty() {
